@@ -20,7 +20,6 @@ from .mfcc import MfccConfig, mel_filterbank, mfcc_frames, mfcc_stats
 from .scattering import (FrequencyScatteringPath, ScatteringConfig,
                          ScatteringFeatures, ScatteringPath,
                          frequency_scattering, lowpass_average,
-                         pool_utterance, scatter_layer2, time_scattering,
-                         wavelet_modulus)
+                         time_scattering, wavelet_modulus)
 
 __version__ = "0.1.0"

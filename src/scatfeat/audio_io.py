@@ -12,6 +12,9 @@ from scipy import signal
 
 from .errors import CorruptHeaderError, UnsupportedEncodingError
 
+# The rate the scattering and MFCC stages expect.
+SAMPLE_RATE_HZ = 16000
+
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -46,10 +49,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 def load_wav(path) -> Waveform:
     """Load a RIFF/WAVE file as a mono Waveform.
@@ -71,6 +70,10 @@ def load_wav(path) -> Waveform:
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8:pos + 8 + chunk_size]
+        if chunk_id in (b"fmt ", b"data") and len(body) < chunk_size:
+            raise CorruptHeaderError(
+                f"{path}: {chunk_id.decode()!r} chunk declares {chunk_size} bytes, "
+                f"file holds {len(body)}")
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptHeaderError(f"{path}: fmt chunk truncated")
@@ -93,17 +96,18 @@ def load_wav(path) -> Waveform:
         raise CorruptHeaderError(f"{path}: invalid channel count or rate")
 
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        dtype, full_scale = "<i2", 32768.0
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        dtype, full_scale = "<f4", 1.0
     else:
         raise UnsupportedEncodingError(
             f"{path}: format tag {audio_format} with {bits} bits "
             "(only PCM16 and float32 are supported)")
-
-    if samples.size % n_channels != 0:
-        samples = samples[: samples.size - samples.size % n_channels]
+    if len(payload) % (n_channels * bits // 8) != 0:
+        raise CorruptHeaderError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number "
+            f"of {n_channels}-channel {bits}-bit samples")
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / full_scale
     if samples.size == 0:
         raise CorruptHeaderError(f"{path}: empty data chunk")
     if n_channels > 1:

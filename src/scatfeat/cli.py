@@ -18,8 +18,7 @@ from .errors import ScatFeatError
 from .evaluation import (confusion_to_text, load_manifest, manifest_warnings,
                          param_sweep, report_to_csv, report_to_json_dict,
                          run_loso)
-from .features import (cached_extract_to_file, default_workers,
-                       extract_to_file, read_feature_file)
+from .features import default_workers, extract_to_file, read_feature_file
 from .filterbank import FilterBankSpec, bank_to_csv_rows, build_morlet_bank
 from .scattering import next_pow2
 

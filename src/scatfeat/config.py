@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .audio_io import SAMPLE_RATE_HZ
 from .errors import ScatFeatError
 from .mfcc import MfccConfig
 from .scattering import ScatteringConfig
@@ -34,7 +35,7 @@ class RunConfig:
     kernel to every support vector vanishes."""
 
     feature_kind: str = "scatnet"
-    sample_rate_hz: int = 16000
+    sample_rate_hz: int = SAMPLE_RATE_HZ
     # scattering
     q1: int = 5
     q2: int = 1
@@ -54,12 +55,9 @@ class RunConfig:
     # svm grid
     svm_c: tuple = (0.1, 1.0, 10.0, 100.0)
     svm_gamma_scale: tuple = (0.1, 1.0, 10.0)
-    # optional feature cache directory ("" disables caching)
-    cache_dir: str = ""
 
-    def scattering_config(self, freq_scattering: bool = False) -> ScatteringConfig:
+    def scattering_config(self) -> ScatteringConfig:
         return ScatteringConfig(q1=self.q1, q2=self.q2, t=self.t, n=self.n,
-                                freq_scattering=freq_scattering,
                                 f_wavelet_len=self.f_wavelet_len,
                                 log_compress=self.log_compress,
                                 log_eps=self.log_eps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,9 +12,9 @@ from .audio_io import Waveform, fix_length, load_wav, resample
 from .config import FEATURE_KINDS, RunConfig, feature_config_hash
 from .errors import ScatFeatError
 from .evaluation import FeatureRow, ManifestRow
+from .filterbank import cached_bank
 from .mfcc import mfcc_utterance
-from .scattering import (ScatteringPath, frequency_scattering, pool_utterance,
-                         time_scattering)
+from .scattering import frequency_scattering, time_scattering
 
 FORMAT_TAG = "SCATFEAT v1"
 
@@ -29,26 +30,21 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     """Utterance-level feature vector of the requested kind.
 
     The waveform is resampled to cfg.sample_rate_hz when needed; every kind
-    operates on exactly cfg.n samples. Layer subsets pool the same paths as
-    the full transform: scat-layer1 keeps orders 0 and 1, scat-layer2 keeps
-    order 2.
+    operates on exactly cfg.n samples. The layer subsets are slices of the
+    scatnet vector: scat-layer1 keeps orders 0 and 1, scat-layer2 order 2.
     """
     if kind not in FEATURE_KINDS:
         raise ScatFeatError(f"unknown feature kind {kind!r}")
     w = resample(w, cfg.sample_rate_hz)
     if kind == "mfcc":
         return mfcc_utterance(fix_length(w, cfg.n), cfg.mfcc_config())
-    scfg = cfg.scattering_config(freq_scattering=(kind == "f-scatnet"))
+    scfg = cfg.scattering_config()
     features = time_scattering(w, scfg)
     if kind == "f-scatnet":
         features = frequency_scattering(features, scfg)
-        return features.utterance_vector
-    if kind == "scatnet":
-        return features.utterance_vector
-    wanted = {0, 1} if kind == "scat-layer1" else {2}
-    keep = [i for i, p in enumerate(features.paths_order)
-            if isinstance(p, ScatteringPath) and p.order in wanted]
-    return pool_utterance(features)[keep]
+    vector = features.utterance_vector
+    n_low = 1 + len(cached_bank(scfg.q1, scfg.t, scfg.n_fft).filters)
+    return {"scat-layer1": vector[:n_low], "scat-layer2": vector[n_low:]}.get(kind, vector)
 
 
 def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
@@ -80,41 +76,47 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
 def write_feature_file(path, kind: str, rows: list[FeatureRow],
                        config_hash: str) -> None:
     """Write `#SCATFEAT v1 kind=<kind> dim=<d> config_hash=<hex>` plus one
-    CSV row per utterance, floats at 17 significant digits, sorted by id."""
+    CSV row per utterance, floats at 17 significant digits, sorted by id.
+    Ids and labels holding a comma or a quote are CSV-quoted."""
     rows = sorted(rows, key=lambda r: r.utterance_id)
     if not rows:
         raise ScatFeatError("no feature rows to write")
     dim = rows[0].vector.shape[0]
     with open(path, "w", newline="") as fh:
         fh.write(f"#{FORMAT_TAG} kind={kind} dim={dim} config_hash={config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for r in rows:
             if r.vector.shape[0] != dim:
                 raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
-            values = ",".join(f"{v:.17g}" for v in r.vector)
-            fh.write(f"{r.utterance_id},{r.speaker_id},{r.label},{values}\n")
+            writer.writerow([r.utterance_id, r.speaker_id, r.label,
+                             *(f"{v:.17g}" for v in r.vector)])
 
 
 def read_feature_file(path):
     """Parse a SCATFEAT v1 file; returns (kind, config_hash, rows)."""
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"#{FORMAT_TAG} "):
             raise ScatFeatError(f"{path}: not a {FORMAT_TAG} file")
-        meta = dict(part.split("=", 1) for part in header[1:].split()[2:])
-        if "kind" not in meta or "dim" not in meta or "config_hash" not in meta:
-            raise ScatFeatError(f"{path}: incomplete header {header!r}")
-        dim = int(meta["dim"])
+        try:
+            meta = dict(part.split("=", 1) for part in header[1:].split()[2:])
+            kind, dim, config_hash = meta["kind"], int(meta["dim"]), meta["config_hash"]
+        except (KeyError, ValueError):
+            raise ScatFeatError(f"{path}: malformed header {header!r}") from None
         rows = []
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
+        reader = csv.reader(fh)  # the header line is already consumed
+        for parts in reader:
+            if not parts:
                 continue
-            parts = line.split(",")
             if len(parts) != 3 + dim:
-                raise ScatFeatError(f"{path}:{lineno}: expected {3 + dim} fields")
-            vec = np.array([float(v) for v in parts[3:]], dtype=np.float64)
+                raise ScatFeatError(
+                    f"{path}:{reader.line_num + 1}: expected {3 + dim} fields")
+            try:
+                vec = np.array(parts[3:], dtype=np.float64)
+            except ValueError as exc:
+                raise ScatFeatError(f"{path}:{reader.line_num + 1}: {exc}") from None
             rows.append(FeatureRow(parts[0], parts[1], parts[2], vec))
-    return meta["kind"], meta["config_hash"], rows
+    return kind, config_hash, rows
 
 
 def extract_to_file(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
@@ -124,18 +126,3 @@ def extract_to_file(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     if rows:
         write_feature_file(out_path, kind, rows, feature_config_hash(cfg, kind))
     return errors
-
-
-def cached_extract_to_file(manifest, kind, cfg: RunConfig, cache_dir,
-                           n_workers=None):
-    """Reuse a cached feature file keyed by the config hash, else extract.
-
-    Returns (path, errors)."""
-    digest = feature_config_hash(cfg, kind)
-    path = os.path.join(cache_dir, f"{kind}_{digest}.csv")
-    if os.path.exists(path):
-        file_kind, file_hash, _ = read_feature_file(path)
-        if file_kind == kind and file_hash == digest:
-            return path, []
-    errors = extract_to_file(manifest, kind, cfg, path, n_workers=n_workers)
-    return path, errors

@@ -72,7 +72,8 @@ class FilterBankSpec:
 class BandpassFilter:
     """One analytic wavelet: nominal center (cycles/sample), nominal
     bandwidth (lambda/q in the geometric region, 1/t in the linear one)
-    and its non-negative gain over all n_fft DFT bins."""
+    and its non-negative gain over all n_fft DFT bins (a row of its bank's
+    responses)."""
 
     center_freq_normalized: float
     bandwidth: float
@@ -82,9 +83,13 @@ class BandpassFilter:
 
 @dataclass(frozen=True)
 class FilterBank:
+    """Band-pass filters, the low-pass and their spec; responses stacks
+    every band-pass gain as an (n_filters, n_fft) matrix."""
+
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
     spec: FilterBankSpec
+    responses: np.ndarray
 
     @property
     def center_freqs(self) -> np.ndarray:
@@ -93,13 +98,6 @@ class FilterBank:
     @property
     def bandwidths(self) -> np.ndarray:
         return np.array([f.bandwidth for f in self.filters])
-
-    @property
-    def responses(self) -> np.ndarray:
-        """All band-pass gains stacked as an (n_filters, n_fft) matrix."""
-        if not self.filters:
-            return np.zeros((0, self.spec.n_fft))
-        return np.stack([f.response for f in self.filters])
 
     def geometric_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.filters) if f.region == "geo"]
@@ -195,29 +193,27 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
         lam -= 1.0 / t
 
     sigma_lin = _SIGMA_LIN_FACTOR / t
-    filters = []
-    for center, region in zip(centers, regions):
-        sigma = c_q * center if region == "geo" else sigma_lin
-        bandwidth = center / q if region == "geo" else 1.0 / t
-        resp = morlet_response(n_fft, center, sigma)
-        filters.append(BandpassFilter(center, bandwidth, resp, region))
+    responses = np.stack([
+        morlet_response(n_fft, center, c_q * center if region == "geo" else sigma_lin)
+        for center, region in zip(centers, regions)])
 
     lowpass = gaussian_lowpass(n_fft, _SIGMA_PHI_FACTOR / t)
 
     # Global rescale: largest s with max over bins of
     # |phi|^2 + s * psi_sum <= 1. phi keeps unit DC gain.
-    psi_sq = np.stack([f.response for f in filters]) ** 2
+    psi_sq = responses ** 2
     mirrored = psi_sq[:, (-np.arange(n_fft)) % n_fft]
     psi_sum = 0.5 * (psi_sq.sum(axis=0) + mirrored.sum(axis=0))
     head = lowpass**2
     mask = psi_sum > 1e-12
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
-    filters = [
-        BandpassFilter(f.center_freq_normalized, f.bandwidth,
-                       f.response * scale, f.region)
-        for f in filters
-    ]
-    return FilterBank(tuple(filters), lowpass, spec)
+    responses = responses * scale
+    responses.flags.writeable = False  # banks are cached and shared
+    filters = tuple(
+        BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
+                       response, region)
+        for center, region, response in zip(centers, regions, responses))
+    return FilterBank(filters, lowpass, spec, responses)
 
 
 @lru_cache(maxsize=32)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .audio_io import Waveform
+from .audio_io import SAMPLE_RATE_HZ, Waveform
 from .errors import (InvalidSpecError, SampleRateError, SignalTooShortError,
                      TooFewFramesError)
 
-SAMPLE_RATE_HZ = 16000
 _LOG_FLOOR = 1e-10
 
 

@@ -15,21 +15,27 @@ Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
 which are the uniformly log-spaced ones). Per protocol those outputs are not
 low-pass averaged along the axis; the classifier supplies the invariance.
+
+Every kind is a view of one (paths_order, frames) pair: frames is an
+(n_paths, n_frames) matrix whose row k holds the frames of path
+paths_order[k]. time_scattering fills rows for order 0, then order 1
+(ascending lambda1), then order 2 (lexicographic (lambda1, lambda2));
+frequency_scattering appends its rows below them. The utterance vector is
+the row mean, so the layer-wise vectors are slices of the full one: orders
+0 and 1 are its first 1 + n_order1 entries, order 2 the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .audio_io import Waveform, fix_length, pad_or_crop_center
+from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, pad_or_crop_center
 from .errors import (AxisTooShortError, InvalidSpecError, LengthMismatchError,
                      SampleRateError)
 from .filterbank import FilterBank, cached_bank
-
-SAMPLE_RATE_HZ = 16000
 
 
 def next_pow2(n: int) -> int:
@@ -54,7 +60,6 @@ class ScatteringConfig:
     q2: int = 1
     t: int = 16384
     n: int = 51000
-    freq_scattering: bool = False
     f_wavelet_len: int = 32
     log_compress: bool = False
     log_eps: float = 1e-7
@@ -70,14 +75,8 @@ class ScatteringConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise InvalidSpecError("n must be positive")
-        if self.t > self.n_fft:
-            raise InvalidSpecError(f"t={self.t} exceeds next_pow2(n)={self.n_fft}")
-        if self.t < 2:
-            raise InvalidSpecError("t must be at least 2")
         if self.log_eps <= 0:
             raise InvalidSpecError("log_eps must be positive")
-        if self.freq_scattering and self.f_wavelet_len < 2:
-            raise InvalidSpecError("f_wavelet_len must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -100,28 +99,19 @@ class FrequencyScatteringPath:
     lambda1_bin: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScatteringFeatures:
-    """Per-path frame sequences plus the pooled utterance vector.
+    """One utterance's scattering: row k of the (n_paths, n_frames) frames
+    matrix belongs to paths_order[k], in the order the module docstring
+    gives. Every path holds the same number of frames (hop t/2)."""
 
-    paths_order fixes the canonical flattening: order 0, order 1 by ascending
-    lambda1_index, order 2 lexicographic, then frequency-scattering paths.
-    Every path holds the same number of frames (hop t/2).
-    """
-
-    frames: dict
     paths_order: tuple
-    utterance_vector: np.ndarray = field(default=None)
+    frames: np.ndarray
 
     @property
-    def n_frames(self) -> int:
-        return len(self.frames[self.paths_order[0]])
-
-    def frame_matrix(self) -> np.ndarray:
-        return np.stack([self.frames[p] for p in self.paths_order])
-
-
-_FFT_WORKERS = 2
+    def utterance_vector(self) -> np.ndarray:
+        """Per-path mean over time frames."""
+        return self.frames.mean(axis=1)
 
 
 def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -132,41 +122,7 @@ def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
         raise LengthMismatchError(
             f"signal length {x.shape} does not match bank n_fft={bank.spec.n_fft}")
     spectrum = sfft.fft(x)
-    return np.abs(sfft.ifft(spectrum[None, :] * bank.responses, axis=1,
-                            workers=_FFT_WORKERS))
-
-
-def _layer2_blocks(u1: np.ndarray, bank2: FilterBank, bank1: FilterBank):
-    """Yield (lambda1_index, admissible lambda2 indices, |u1 * psi_l2| rows)."""
-    if bank2.spec.n_fft != bank1.spec.n_fft:
-        raise InvalidSpecError("bank2 must share the first bank's n_fft")
-    if u1.shape != (len(bank1.filters), bank1.spec.n_fft):
-        raise LengthMismatchError(
-            f"u1 shape {u1.shape} does not match bank1 layout")
-    centers2 = bank2.center_freqs
-    responses2 = bank2.responses
-    for i1, f1 in enumerate(bank1.filters):
-        admissible = np.flatnonzero(centers2 < f1.bandwidth)
-        if admissible.size == 0:
-            continue
-        spectrum = sfft.fft(u1[i1])
-        block = np.abs(sfft.ifft(spectrum[None, :] * responses2[admissible], axis=1,
-                                 workers=_FFT_WORKERS))
-        yield i1, admissible, block
-
-
-def scatter_layer2(u1: np.ndarray, bank2: FilterBank,
-                   bank1: FilterBank) -> dict[tuple[int, int], np.ndarray]:
-    """Second wavelet-modulus layer over the first-layer envelopes.
-
-    Returns {(lambda1_index, lambda2_index): sequence} for admissible pairs
-    only, in lexicographic order.
-    """
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for i1, admissible, block in _layer2_blocks(u1, bank2, bank1):
-        for row, i2 in enumerate(admissible):
-            out[(i1, int(i2))] = block[row]
-    return out
+    return np.abs(sfft.ifft(spectrum[None, :] * bank.responses, axis=1))
 
 
 def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
@@ -184,32 +140,18 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
             f"sequence length {u.shape[1]} does not match lowpass length {n_fft}")
     if hop < 1 or n_fft % hop != 0:
         raise ValueError(f"hop={hop} must divide n_fft={n_fft}")
-    spectra = sfft.rfft(u, axis=1, workers=_FFT_WORKERS) * lowpass[: n_fft // 2 + 1]
+    spectra = sfft.rfft(u, axis=1) * lowpass[: n_fft // 2 + 1]
     # Decimating (u*phi) by hop aliases its spectrum: fold the n_fft bins
-    # onto n_frames bins and invert at the short length. Exact, and far
-    # cheaper than a full-length inverse FFT per path.
-    n_frames = n_fft // hop
-    if n_frames >= 2:
-        full = np.concatenate([spectra, np.conj(spectra[:, -2:0:-1])], axis=1)
-        folded = full.reshape(u.shape[0], hop, n_frames).sum(axis=1)
-        smoothed = np.real(sfft.ifft(folded, axis=1, workers=_FFT_WORKERS)) / hop
-    else:
-        smoothed = sfft.irfft(spectra, n=n_fft, axis=1)[:, ::hop]
-    frames = np.maximum(smoothed, 0.0)
+    # onto n_frames bins and invert at the short length. Exact for any
+    # n_frames >= 1, and far cheaper than a full-length inverse FFT per path.
+    full = np.concatenate([spectra, np.conj(spectra[:, -2:0:-1])], axis=1)
+    folded = full.reshape(u.shape[0], hop, n_fft // hop).sum(axis=1)
+    frames = np.maximum(np.real(sfft.ifft(folded, axis=1)) / hop, 0.0)
     return frames[0] if single else frames
 
 
-def _pool(frames: dict, paths_order: tuple) -> np.ndarray:
-    return np.array([float(np.mean(frames[p])) for p in paths_order])
-
-
-def pool_utterance(features: ScatteringFeatures) -> np.ndarray:
-    """Per-path mean over time frames, concatenated in paths_order."""
-    return _pool(features.frames, features.paths_order)
-
-
 def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
-    """Order-0/1/2 scattering frames and pooled utterance vector.
+    """Order-0/1/2 scattering frames.
 
     The waveform is forced to cfg.n samples (center crop / symmetric pad),
     then symmetrically zero-padded to n_fft = next_pow2(n) for circular FFT
@@ -226,25 +168,23 @@ def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
 
     u1 = wavelet_modulus(x, bank1)
 
-    paths: list = [ScatteringPath(0)]
-    rows = [lowpass_average(x, bank1.lowpass, cfg.hop)]
-    s1 = lowpass_average(u1, bank1.lowpass, cfg.hop)
-    for i1 in range(len(bank1.filters)):
-        paths.append(ScatteringPath(1, i1))
-        rows.append(s1[i1])
-    for i1, admissible, block in _layer2_blocks(u1, bank2, bank1):
-        s2 = lowpass_average(block, bank1.lowpass, cfg.hop)
-        for row, i2 in enumerate(admissible):
-            paths.append(ScatteringPath(2, i1, int(i2)))
-            rows.append(s2[row])
+    paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
+    blocks = [lowpass_average(x, bank1.lowpass, cfg.hop)[None, :],
+              lowpass_average(u1, bank1.lowpass, cfg.hop)]
+    centers2 = bank2.center_freqs
+    for i1, f1 in enumerate(bank1.filters):
+        admissible = np.flatnonzero(centers2 < f1.bandwidth)
+        if admissible.size == 0:
+            continue
+        u2 = np.abs(sfft.ifft(sfft.fft(u1[i1])[None, :] * bank2.responses[admissible],
+                              axis=1))
+        blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
+        paths += [ScatteringPath(2, i1, int(i2)) for i2 in admissible]
 
-    frames_mat = np.stack(rows)
+    frames = np.concatenate(blocks)
     if cfg.log_compress:
-        frames_mat = np.log(frames_mat + cfg.log_eps)
-    frames = {p: frames_mat[i] for i, p in enumerate(paths)}
-    features = ScatteringFeatures(frames, tuple(paths))
-    features.utterance_vector = _pool(frames, features.paths_order)
-    return features
+        frames = np.log(frames + cfg.log_eps)
+    return ScatteringFeatures(tuple(paths), frames)
 
 
 def frequency_scattering(s_time: ScatteringFeatures,
@@ -255,13 +195,10 @@ def frequency_scattering(s_time: ScatteringFeatures,
     For each time frame, the order-1 coefficients on geometric-region bins
     form a 1-D signal over log-lambda; a q=1 Morlet bank with averaging scale
     cfg.f_wavelet_len decomposes it. The moduli are kept unaveraged and
-    cascaded after the time-scattering paths. With cfg.log_compress set (the
-    RunConfig default) the order-1 frames are already log-compressed, so the
-    decomposition runs on log order-1 frames.
+    appended after the time-scattering rows, wavelet-major. With
+    cfg.log_compress set (the RunConfig default) the order-1 frames are
+    already log-compressed, so the decomposition runs on log order-1 frames.
     """
-    if not cfg.freq_scattering:
-        raise InvalidSpecError("cfg.freq_scattering is off")
-    cfg.validate()
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     geo = bank1.geometric_indices()
     if len(geo) < 2:
@@ -273,7 +210,8 @@ def frequency_scattering(s_time: ScatteringFeatures,
             f"count {len(bank1.filters)}")
 
     n_bins = len(geo)
-    axis = np.stack([s_time.frames[ScatteringPath(1, i)] for i in geo])  # (bins, frames)
+    row = {p: k for k, p in enumerate(s_time.paths_order)}
+    axis = s_time.frames[[row[ScatteringPath(1, i)] for i in geo]]  # (bins, frames)
     n_fft_fr = next_pow2(max(n_bins, cfg.f_wavelet_len))
     bank_fr = cached_bank(1, cfg.f_wavelet_len, n_fft_fr)
 
@@ -285,20 +223,10 @@ def frequency_scattering(s_time: ScatteringFeatures,
     spectra = sfft.fft(padded, axis=1)
     moduli = np.abs(sfft.ifft(spectra[None, :, :] * bank_fr.responses[:, None, :],
                               axis=2))  # (wavelets, frames, n_fft_fr)
-    moduli = moduli[:, :, pad_left:pad_left + n_bins]
+    moduli = moduli[:, :, pad_left:pad_left + n_bins].transpose(0, 2, 1)
 
-    frames = dict(s_time.frames)
-    paths = list(s_time.paths_order)
-    for mu in range(len(bank_fr.filters)):
-        for b in range(n_bins):
-            p = FrequencyScatteringPath(mu, b)
-            frames[p] = moduli[mu, :, b]
-            paths.append(p)
-    out = ScatteringFeatures(frames, tuple(paths))
-    out.utterance_vector = _pool(frames, out.paths_order)
-    return out
-
-
-def make_config(**kwargs) -> ScatteringConfig:
-    """ScatteringConfig with defaults overridden by keyword arguments."""
-    return replace(ScatteringConfig(), **kwargs)
+    paths = [FrequencyScatteringPath(mu, b)
+             for mu in range(len(bank_fr.filters)) for b in range(n_bins)]
+    return ScatteringFeatures(
+        s_time.paths_order + tuple(paths),
+        np.concatenate([s_time.frames, moduli.reshape(len(paths), -1)]))

@@ -19,13 +19,17 @@ def write_wav_stdlib(path, samples, sample_rate=FS):
         fh.writeframes(pcm.tobytes())
 
 
-def write_wav_raw(path, fmt_tag, n_channels, sample_rate, bits, payload):
-    """Hand-rolled RIFF container for exercising header edge cases."""
+def write_wav_raw(path, fmt_tag, n_channels, sample_rate, bits, payload,
+                  data_size=None):
+    """Hand-rolled RIFF container for exercising header edge cases.
+    data_size overrides the data chunk's declared size."""
     block = n_channels * bits // 8
     fmt = struct.pack("<HHIIHH", fmt_tag, n_channels, sample_rate,
                       sample_rate * block, block, bits)
+    if data_size is None:
+        data_size = len(payload)
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+    body += b"data" + struct.pack("<I", data_size) + payload
     blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     with open(path, "wb") as fh:
         fh.write(blob)

@@ -68,8 +68,8 @@ def test_a2_non_expansiveness():
         amp = rng.uniform(0.05, 0.5)
         x = rng.standard_normal(N) * amp
         y = rng.standard_normal(N) * amp
-        lhs = np.linalg.norm(_scatter(x).frame_matrix() -
-                             _scatter(y).frame_matrix())
+        lhs = np.linalg.norm(_scatter(x).frames -
+                             _scatter(y).frames)
         rhs = np.linalg.norm(x - y)
         assert lhs <= rhs + 1e-6, trial
         worst = max(worst, lhs - rhs)
@@ -84,8 +84,8 @@ def test_a3_translation_invariance():
         x = bandlimited_noise(rng, N)
         base = _scatter(x)
         small = _scatter(np.roll(x, 256))
-        change = np.linalg.norm(small.frame_matrix() - base.frame_matrix()) \
-            / np.linalg.norm(base.frame_matrix())
+        change = np.linalg.norm(small.frames - base.frames) \
+            / np.linalg.norm(base.frames)
         assert change < 0.05, trial
         worst_small = max(worst_small, change)
         large = _scatter(np.roll(x, CFG.t))
@@ -104,7 +104,7 @@ def test_a4_layer_physics():
     tt = np.arange(N) / FS
 
     tone = _scatter(0.5 * np.cos(2 * np.pi * 1000.0 * tt))
-    s1 = np.array([tone.frames[p].mean() for p in tone.paths_order
+    s1 = np.array([v for p, v in zip(tone.paths_order, tone.utterance_vector)
                    if isinstance(p, ScatteringPath) and p.order == 1])
     bin_1k = round(1000.0 * n_fft / FS)
     expected_l1 = int(np.argmax(bank1.responses[:, bin_1k]))
@@ -113,7 +113,7 @@ def test_a4_layer_physics():
 
     am = _scatter((1.0 + 0.5 * np.cos(2 * np.pi * 8.0 * tt))
                   * np.cos(2 * np.pi * 1000.0 * tt))
-    s2 = {p.lambda2_index: am.frames[p].mean() for p in am.paths_order
+    s2 = {p.lambda2_index: v for p, v in zip(am.paths_order, am.utterance_vector)
           if isinstance(p, ScatteringPath) and p.order == 2
           and p.lambda1_index == expected_l1}
     admissible = sorted(s2)

@@ -70,6 +70,22 @@ class TestLoadWav:
         with pytest.raises(CorruptHeaderError):
             load_wav(path)
 
+    def test_data_chunk_past_end_of_file(self, tmp_path):
+        # declares 1000 PCM16 samples, holds 250
+        path = tmp_path / "truncated.wav"
+        write_wav_raw(path, 1, 1, FS, 16, b"\x01\x00" * 250, data_size=2000)
+        with pytest.raises(CorruptHeaderError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("fmt_tag,n_channels,bits,n_bytes",
+                             [(1, 1, 16, 501), (3, 1, 32, 402), (1, 2, 16, 1002)])
+    def test_partial_sample_rejected(self, tmp_path, fmt_tag, n_channels, bits,
+                                     n_bytes):
+        path = tmp_path / "partial.wav"
+        write_wav_raw(path, fmt_tag, n_channels, FS, bits, b"\x00" * n_bytes)
+        with pytest.raises(CorruptHeaderError):
+            load_wav(path)
+
 
 class TestResample:
     def test_sine_48k_to_16k(self):

@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scatfeat.errors import ScatFeatError
 from scatfeat.evaluation import FeatureRow, ManifestRow
 from scatfeat.features import (extract_many, extract_vector,
                                read_feature_file, write_feature_file)
+from scatfeat.filterbank import cached_bank
 from scatfeat.synthetic import write_wav_pcm16
 
 from conftest import FS, bandlimited_noise
@@ -18,9 +21,19 @@ from conftest import FS, bandlimited_noise
 SMALL = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
 
 
+def load_reference():
+    """scatbench/reference.py: full-resolution scattering written from the
+    method's definition, one transform per path."""
+    path = Path(__file__).resolve().parents[1] / "scatbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("scatbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestConfig:
     def test_roundtrip_via_text(self):
-        cfg = RunConfig(q1=8, t=4096, svm_c=(0.5, 2.0), cache_dir="/tmp/x")
+        cfg = RunConfig(feature_kind="mfcc", q1=8, t=4096, svm_c=(0.5, 2.0))
         back = config_from_text(config_to_text(cfg))
         assert back == cfg
 
@@ -68,14 +81,26 @@ class TestExtractVector:
         l1 = extract_vector("scat-layer1", w, SMALL)
         l2 = extract_vector("scat-layer2", w, SMALL)
         assert l1.shape[0] + l2.shape[0] == full.shape[0]
-        assert np.allclose(np.concatenate([l1, l2]), full)
+        assert np.array_equal(np.concatenate([l1, l2]), full)
 
     def test_f_scatnet_extends_scatnet(self, rng):
         w = Waveform(bandlimited_noise(rng, 4096), FS)
         full = extract_vector("scatnet", w, SMALL)
         fsc = extract_vector("f-scatnet", w, SMALL)
         assert fsc.shape[0] > full.shape[0]
-        assert np.allclose(fsc[: full.shape[0]], full)
+        assert np.array_equal(fsc[: full.shape[0]], full)
+
+    def test_scatnet_matches_reference(self, rng):
+        ref = load_reference()
+        w = Waveform(bandlimited_noise(rng, 5000), FS)  # cropped to n=4096
+        n_fft = SMALL.scattering_config().n_fft
+        expect = ref.scatnet_reference(w.samples, SMALL.n, SMALL.t,
+                                       cached_bank(SMALL.q1, SMALL.t, n_fft),
+                                       cached_bank(SMALL.q2, SMALL.t, n_fft),
+                                       SMALL.log_eps)
+        got = extract_vector("scatnet", w, SMALL)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= ref.SCATTERING_LOG_TOL
 
     def test_resamples_input(self, rng):
         w48 = Waveform(bandlimited_noise(rng, 12288, fs=48000, f_hi_hz=6000.0),
@@ -121,6 +146,40 @@ class TestFeatureFile:
         path = tmp_path / "bad.csv"
         path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=x\n"
                         "u0,s0,lab,1.0,2.0\n")
+        with pytest.raises(ScatFeatError):
+            read_feature_file(path)
+
+    def test_comma_and_quote_in_fields_roundtrip(self, tmp_path, rng):
+        rows = [FeatureRow("a,b", "s,1", 'x"y', rng.standard_normal(3)),
+                FeatureRow("plain", "s2", "lab", rng.standard_normal(3))]
+        path = tmp_path / "quoted.csv"
+        write_feature_file(path, "mfcc", rows, "abc123")
+        _, _, back = read_feature_file(path)
+        assert [(r.utterance_id, r.speaker_id, r.label) for r in back] == \
+            [("a,b", "s,1", 'x"y'), ("plain", "s2", "lab")]
+        for a, b in zip(rows, back):
+            assert np.array_equal(a.vector, b.vector)
+        plain = path.read_text().splitlines()[2]
+        assert plain == "plain,s2,lab," + ",".join(f"{v:.17g}" for v in rows[1].vector)
+
+    def test_header_field_without_equals(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash\n"
+                        "u0,s0,lab,1.0,2.0,3.0\n")
+        with pytest.raises(ScatFeatError):
+            read_feature_file(path)
+
+    def test_non_integer_dim(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=three config_hash=x\n"
+                        "u0,s0,lab,1.0,2.0,3.0\n")
+        with pytest.raises(ScatFeatError):
+            read_feature_file(path)
+
+    def test_non_numeric_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=x\n"
+                        "u0,s0,lab,1.0,two,3.0\n")
         with pytest.raises(ScatFeatError):
             read_feature_file(path)
 

@@ -145,7 +145,8 @@ class TestLittlewoodPaley:
 
     def test_lowpass_only_degenerate_bank(self):
         spec = FilterBankSpec(1, 256, 2048)
-        bank = FilterBank((), gaussian_lowpass(2048, 0.25 / 256), spec)
+        bank = FilterBank((), gaussian_lowpass(2048, 0.25 / 256), spec,
+                          np.zeros((0, 2048)))
         bounds = littlewood_paley_bounds(bank)
         assert bounds["max"] == pytest.approx(1.0, abs=1e-12)
 

@@ -8,8 +8,7 @@ from scatfeat.filterbank import cached_bank
 from scatfeat.scattering import (FrequencyScatteringPath, ScatteringConfig,
                                  ScatteringFeatures, ScatteringPath,
                                  frequency_scattering, lowpass_average,
-                                 next_pow2, pool_utterance, scatter_layer2,
-                                 time_scattering, wavelet_modulus)
+                                 next_pow2, time_scattering, wavelet_modulus)
 
 from conftest import FS, bandlimited_noise
 
@@ -48,11 +47,22 @@ class TestWaveletModulus:
             wavelet_modulus(np.zeros(N_FFT // 2), BANK1)
 
 
+def order2(feats):
+    """{(lambda1, lambda2): frame row} of the order-2 paths."""
+    return {(p.lambda1_index, p.lambda2_index): row
+            for p, row in zip(feats.paths_order, feats.frames) if p.order == 2}
+
+
 class TestScatterLayer2:
     def test_constant_envelopes_give_zero(self):
-        u1 = np.ones((len(BANK1.filters), N_FFT))
-        u2 = scatter_layer2(u1, BANK2, BANK1)
+        # A bin-aligned sine over exactly n == n_fft samples has a constant
+        # envelope under every analytic first-layer wavelet, so every
+        # second-layer modulus (zero-mean wavelets) vanishes.
+        k = round(BANK1.filters[4].center_freq_normalized * N_FFT)
+        feats = time_scattering(Waveform(sine_norm(k / N_FFT, CFG.n), FS), CFG)
+        u2 = order2(feats)
         assert u2
+        assert np.min(feats.frames[1 + 4]) > 0.1  # order 1 does see the sine
         worst = max(np.max(seq) for seq in u2.values())
         assert worst < 1e-9
 
@@ -61,8 +71,7 @@ class TestScatterLayer2:
         lam_m = 16.0 / N_FFT  # bin-aligned modulation, no leakage
         n = np.arange(N_FFT)
         x = (1 + 0.5 * np.cos(2 * np.pi * lam_m * n)) * np.cos(2 * np.pi * lam_c * n)
-        u1 = wavelet_modulus(x, BANK1)
-        u2 = scatter_layer2(u1, BANK2, BANK1)
+        u2 = order2(time_scattering(Waveform(x, FS), CFG))
         strengths = {i2: float(np.mean(seq)) for (i1, i2), seq in u2.items()
                      if i1 == 4}
         got = max(strengths, key=strengths.get)
@@ -72,15 +81,13 @@ class TestScatterLayer2:
         assert got == expected
 
     def test_path_count_matches_admissibility(self):
-        u1 = np.zeros((len(BANK1.filters), N_FFT))
-        u2 = scatter_layer2(u1, BANK2, BANK1)
+        u2 = order2(time_scattering(Waveform(np.zeros(CFG.n), FS), CFG))
         centers2 = BANK2.center_freqs
         expected = sum(int(np.sum(centers2 < f.bandwidth)) for f in BANK1.filters)
         assert len(u2) == expected
 
     def test_lexicographic_order(self):
-        u1 = np.zeros((len(BANK1.filters), N_FFT))
-        keys = list(scatter_layer2(u1, BANK2, BANK1))
+        keys = list(order2(time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)))
         assert keys == sorted(keys)
 
 
@@ -125,33 +132,33 @@ class TestTimeScattering:
         pairs = [(p.lambda1_index, p.lambda2_index) for p in feats.paths_order
                  if p.order == 2]
         assert pairs == sorted(pairs)
-        assert feats.n_frames == N_FFT // CFG.hop
+        assert feats.frames.shape == (len(feats.paths_order), N_FFT // CFG.hop)
 
     def test_non_expansive(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         y = bandlimited_noise(rng, CFG.n, peak=0.4)
-        sx = time_scattering(Waveform(x, FS), CFG).frame_matrix()
-        sy = time_scattering(Waveform(y, FS), CFG).frame_matrix()
+        sx = time_scattering(Waveform(x, FS), CFG).frames
+        sy = time_scattering(Waveform(y, FS), CFG).frames
         assert np.linalg.norm(sx - sy) <= np.linalg.norm(x - y) + 1e-6
 
     def test_scale_homogeneity(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         a = time_scattering(Waveform(x, FS), CFG)
         b = time_scattering(Waveform(0.25 * x, FS), CFG)
-        ref = np.linalg.norm(a.frame_matrix())
-        assert np.linalg.norm(b.frame_matrix() - 0.25 * a.frame_matrix()) < 1e-9 * ref
+        ref = np.linalg.norm(a.frames)
+        assert np.linalg.norm(b.frames - 0.25 * a.frames) < 1e-9 * ref
 
     def test_translation_covariance_one_hop(self, rng):
         # n == n_fft here, so rolling the input is circular for the FFT
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
-        a = time_scattering(Waveform(x, FS), CFG).frame_matrix()
-        b = time_scattering(Waveform(np.roll(x, CFG.hop), FS), CFG).frame_matrix()
+        a = time_scattering(Waveform(x, FS), CFG).frames
+        b = time_scattering(Waveform(np.roll(x, CFG.hop), FS), CFG).frames
         assert np.allclose(b, np.roll(a, 1, axis=1), atol=1e-9)
 
     def test_non_negative(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         feats = time_scattering(Waveform(x, FS), CFG)
-        assert np.all(feats.frame_matrix() >= 0.0)
+        assert np.all(feats.frames >= 0.0)
         assert np.all(feats.utterance_vector >= 0.0)
 
     def test_wrong_sample_rate(self):
@@ -169,8 +176,8 @@ class TestTimeScattering:
         from dataclasses import replace
         raw = time_scattering(Waveform(x, FS), CFG)
         logged = time_scattering(Waveform(x, FS), replace(CFG, log_compress=True))
-        expect = np.log(raw.frame_matrix() + CFG.log_eps)
-        assert np.allclose(logged.frame_matrix(), expect, atol=1e-12)
+        expect = np.log(raw.frames + CFG.log_eps)
+        assert np.allclose(logged.frames, expect, atol=1e-12)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidSpecError):
@@ -179,23 +186,18 @@ class TestTimeScattering:
 
 
 class TestFrequencyScattering:
-    FCFG = ScatteringConfig(q1=3, q2=1, t=1024, n=4096,
-                            freq_scattering=True, f_wavelet_len=8)
-
-    def test_requires_flag(self, rng):
-        feats = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
-        with pytest.raises(InvalidSpecError):
-            frequency_scattering(feats, CFG)
+    FCFG = ScatteringConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
 
     def test_constant_s1_gives_zero(self):
         n_geo = len(BANK1.geometric_indices())
         n1 = len(BANK1.filters)
-        frames = {ScatteringPath(1, i): np.full(4, 3.5) for i in range(n1)}
         paths = tuple(ScatteringPath(1, i) for i in range(n1))
-        feats = ScatteringFeatures(frames, paths, np.zeros(n1))
+        feats = ScatteringFeatures(paths, np.full((n1, 4), 3.5))
         out = frequency_scattering(feats, self.FCFG)
-        fs_vals = np.concatenate([out.frames[p] for p in out.paths_order
-                                  if isinstance(p, FrequencyScatteringPath)])
+        assert all(isinstance(p, FrequencyScatteringPath)
+                   for p in out.paths_order[n1:])
+        assert np.array_equal(out.frames[:n1], feats.frames)
+        fs_vals = out.frames[n1:]
         assert fs_vals.size > 0
         assert np.max(np.abs(fs_vals)) < 1e-9 * 3.5
         assert n_geo >= 2
@@ -213,8 +215,7 @@ class TestFrequencyScattering:
     def test_transposition_covariance(self):
         # One octave up moves the order-1 pattern by q1 geometric bins;
         # unaveraged moduli should follow within 10% on interior bins.
-        cfg = ScatteringConfig(q1=5, q2=1, t=4096, n=16000,
-                               freq_scattering=True, f_wavelet_len=16)
+        cfg = ScatteringConfig(q1=5, q2=1, t=4096, n=16000, f_wavelet_len=16)
         n = np.arange(16000)
         wa = Waveform(0.5 * np.cos(2 * np.pi * (500.0 / FS) * n), FS)
         wb = Waveform(0.5 * np.cos(2 * np.pi * (1000.0 / FS) * n), FS)
@@ -222,13 +223,13 @@ class TestFrequencyScattering:
         fb = frequency_scattering(time_scattering(wb, cfg), cfg)
 
         def tensor(feats):
-            fps = [p for p in feats.paths_order
+            fps = [(p, v) for p, v in zip(feats.paths_order, feats.utterance_vector)
                    if isinstance(p, FrequencyScatteringPath)]
-            mus = 1 + max(p.wavelet_index for p in fps)
-            bins = 1 + max(p.lambda1_bin for p in fps)
+            mus = 1 + max(p.wavelet_index for p, _ in fps)
+            bins = 1 + max(p.lambda1_bin for p, _ in fps)
             out = np.zeros((mus, bins))
-            for p in fps:
-                out[p.wavelet_index, p.lambda1_bin] = feats.frames[p].mean()
+            for p, v in fps:
+                out[p.wavelet_index, p.lambda1_bin] = v
             return out
 
         ta, tb = tensor(fa), tensor(fb)
@@ -238,29 +239,25 @@ class TestFrequencyScattering:
         assert err < 0.10 * np.linalg.norm(tb[:, interior])
 
     def test_axis_too_short(self):
-        frames = {ScatteringPath(1, 0): np.ones(4)}
-        feats = ScatteringFeatures(frames, (ScatteringPath(1, 0),), np.zeros(1))
-        tiny = ScatteringConfig(q1=1, q2=1, t=4, n=8, freq_scattering=True,
-                                f_wavelet_len=2)
+        feats = ScatteringFeatures((ScatteringPath(1, 0),), np.ones((1, 4)))
+        tiny = ScatteringConfig(q1=1, q2=1, t=4, n=8, f_wavelet_len=2)
         with pytest.raises(AxisTooShortError):
             frequency_scattering(feats, tiny)
 
 
 class TestPoolUtterance:
     def test_single_frame(self):
-        p = ScatteringPath(1, 0)
-        feats = ScatteringFeatures({p: np.array([2.5])}, (p,))
-        assert np.array_equal(pool_utterance(feats), [2.5])
+        feats = ScatteringFeatures((ScatteringPath(1, 0),), np.array([[2.5]]))
+        assert np.array_equal(feats.utterance_vector, [2.5])
 
     def test_two_frames_mean(self):
         p0, p1 = ScatteringPath(1, 0), ScatteringPath(1, 1)
-        feats = ScatteringFeatures(
-            {p0: np.array([1.0, 3.0]), p1: np.array([4.0, 0.0])}, (p0, p1))
-        assert np.array_equal(pool_utterance(feats), [2.0, 2.0])
+        feats = ScatteringFeatures((p0, p1), np.array([[1.0, 3.0], [4.0, 0.0]]))
+        assert np.array_equal(feats.utterance_vector, [2.0, 2.0])
 
     def test_frame_permutation_invariant(self, rng):
         p = ScatteringPath(1, 0)
         vals = rng.standard_normal(16)
-        a = pool_utterance(ScatteringFeatures({p: vals}, (p,)))
-        b = pool_utterance(ScatteringFeatures({p: rng.permutation(vals)}, (p,)))
+        a = ScatteringFeatures((p,), vals[None, :]).utterance_vector
+        b = ScatteringFeatures((p,), rng.permutation(vals)[None, :]).utterance_vector
         assert a == pytest.approx(b)
