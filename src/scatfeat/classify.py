@@ -56,35 +56,26 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
 
     y holds +-1 labels; kernel is the full Gram matrix. Iterates until the
     KKT violation max_{i in I_up} v_i - min_{j in I_low} v_j <= tol, where
-    v = y - Ka (with a = alpha*y), or until max_iter. Ties in the working
-    set go to the lowest index, which makes the solver deterministic for a
-    fixed input order.
+    v = y - Ka (with a = alpha*y), or until max_iter updates. Ties in the
+    working set go to the lowest index, which makes the solver
+    deterministic for a fixed input order.
 
-    Returns (alpha, bias, kkt_residual, converged, n_iter).
+    Returns (alpha, bias, kkt_residual, converged, n_iter); converged is
+    kkt_residual <= tol, also when the max_iter-th update reached it.
     """
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    alpha = np.zeros(n)
+    alpha = np.zeros(y.size)
     v = y.copy()  # v_k = y_k - sum_m alpha_m y_m K(m, k)
     pos = y > 0
-
-    def masks():
-        up = np.where(pos, alpha < c, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < c)
-        return up, low
-
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        up, low = masks()
-        vi = np.where(up, v, -np.inf)
-        vj = np.where(low, v, np.inf)
+    # Pass k checks the KKT conditions after k updates, so the pass that
+    # stops the loop supplies the residual and the fallback bias.
+    for n_iter in range(max_iter + 1):
+        vi = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
+        vj = np.where(np.where(pos, alpha > 0.0, alpha < c), v, np.inf)
         i = int(np.argmax(vi))
         j = int(np.argmin(vj))
         violation = vi[i] - vj[j]
-        if violation <= tol:
-            converged = True
-            n_iter -= 1
+        if violation <= tol or n_iter == max_iter:
             break
         quad = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], _STD_FLOOR)
         step = violation / quad
@@ -96,16 +87,12 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
         alpha[j] = min(max(alpha[j] - (step if pos[j] else -step), 0.0), c)
         v -= step * (kernel[i] - kernel[j])
 
-    up, low = masks()
-    residual = float(np.max(np.where(up, v, -np.inf)) -
-                     np.min(np.where(low, v, np.inf)))
     free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
     if np.any(free):
         bias = float(np.mean(v[free]))
     else:
-        bias = float((np.max(np.where(up, v, -np.inf)) +
-                      np.min(np.where(low, v, np.inf))) / 2.0)
-    return alpha, bias, residual, converged, n_iter
+        bias = float((vi[i] + vj[j]) / 2.0)
+    return alpha, bias, float(violation), bool(violation <= tol), n_iter
 
 
 @dataclass(frozen=True)
@@ -155,9 +142,6 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):
             sel = (labels == classes[ia]) | (labels == classes[ib])
-            if not np.any(labels == classes[ia]) or not np.any(labels == classes[ib]):
-                raise DegenerateClassError(
-                    f"pair ({classes[ia]}, {classes[ib]}) is missing a class")
             xs = x[sel]
             ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
             kernel = rbf_kernel(xs, xs, gamma)
@@ -175,10 +159,7 @@ def svm_decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     xs = standardize_apply(model.standardizer, x)
     out = np.empty((xs.shape[0], len(model.pairs)))
     for col, m in enumerate(model.pairs):
-        if m.support_vectors.size == 0:
-            out[:, col] = m.bias
-        else:
-            out[:, col] = rbf_kernel(xs, m.support_vectors, model.gamma) @ m.alpha_y + m.bias
+        out[:, col] = rbf_kernel(xs, m.support_vectors, model.gamma) @ m.alpha_y + m.bias
     return out
 
 
@@ -204,11 +185,10 @@ def svm_predict(model: SvmModel, x: np.ndarray):
         votes[~winner_a, kb] += 1
         margins[winner_a, ka] += np.abs(d[winner_a])
         margins[~winner_a, kb] += np.abs(d[~winner_a])
-    labels = []
-    for row in range(n):
-        order = sorted(range(len(model.classes)),
-                       key=lambda k: (-votes[row, k], -margins[row, k], k))
-        labels.append(model.classes[order[0]])
+    # argmax takes the first maximum, so equal margins go to class order
+    top = votes == votes.max(axis=1, keepdims=True)
+    winners = np.argmax(np.where(top, margins, -np.inf), axis=1)
+    labels = [model.classes[k] for k in winners]
     return labels[0] if single else np.array(labels)
 
 
@@ -217,13 +197,17 @@ class GridSearchResult:
     best_c: float
     best_gamma: float
     valid_uar: float
+    model: SvmModel  # trained on all of train at (best_c, best_gamma)
 
 
 def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
-    """Pick (c, gamma) maximizing validation UAR.
+    """Pick (c, gamma) maximizing validation UAR and return its model.
 
     train and valid are (X, y) with X already standardized by training-set
-    statistics. Ties prefer smaller c, then smaller gamma.
+    statistics. Every cell trains on all of train, so the winning cell's
+    model is the final one; it carries an identity standardizer, so feed
+    it rows standardized like train. Ties prefer smaller c, then smaller
+    gamma.
     """
     from .evaluation import confusion, uar  # metric lives with the harness
 
@@ -237,7 +221,7 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
             pred = svm_predict(model, np.atleast_2d(x_valid))
             score = uar(confusion(list(y_valid), list(pred), classes))
             if best is None or score > best.valid_uar:
-                best = GridSearchResult(c, gamma, score)
+                best = GridSearchResult(c, gamma, score, model)
     return best
 
 

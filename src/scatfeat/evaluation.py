@@ -8,13 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import (grid_search, standardize_apply, standardize_fit,
-                       svm_predict, svm_train)
+from .classify import grid_search, standardize_apply, standardize_fit, svm_predict
+from .config import RunConfig
 from .errors import (EmptyMatrixError, ScatFeatError, TooFewSpeakersError,
                      UnknownLabelError)
-
-DEFAULT_C_VALUES = (0.1, 1.0, 10.0, 100.0)
-DEFAULT_GAMMA_SCALES = (0.1, 1.0, 10.0)  # multiplied by 1/feature_dim
 
 
 @dataclass(frozen=True)
@@ -54,9 +51,11 @@ def manifest_warnings(rows: list[ManifestRow]) -> list[str]:
     return warnings
 
 
-def loso_splits(rows: list[ManifestRow]):
+def loso_splits(rows):
     """One fold per speaker as test; the next speaker in sorted cyclic order
-    validates; the rest train. Returns (train_speakers, valid, test) tuples."""
+    validates; the rest train. rows are any records with a speaker_id
+    (manifest or feature rows). Returns (train_speakers, valid, test)
+    tuples."""
     speakers = sorted({r.speaker_id for r in rows})
     if len(speakers) < 3:
         raise TooFewSpeakersError(f"need at least 3 speakers, got {len(speakers)}")
@@ -155,45 +154,44 @@ class ExperimentReport:
         return out
 
 
-def run_loso(rows: list[FeatureRow], c_values=DEFAULT_C_VALUES,
+def run_loso(rows: list[FeatureRow], c_values=RunConfig.svm_c,
              gamma_values=None, feature_kind: str = "",
              config_hash: str = "") -> ExperimentReport:
     """Grid-searched LOSO evaluation over pre-extracted feature rows.
 
-    Per fold: standardizer fit on the training speakers only, grid search on
-    (train, valid), retrain on train with the winning parameters, evaluate
-    on the held-out test speaker. gamma_values defaults to the 1/dim-scaled
-    DEFAULT_GAMMA_SCALES grid.
+    Per fold: standardizer fit on the training speakers only and applied to
+    the train, valid and test rows; grid search on (train, valid); the
+    winning cell's model, trained on all of train during the search,
+    predicts the held-out test speaker without a retrain. The grid defaults
+    to RunConfig's svm_c and svm_gamma_scale, the scales divided by the
+    feature dimension.
     """
-    dim = rows[0].vector.shape[0]
     if gamma_values is None:
-        gamma_values = tuple(s / dim for s in DEFAULT_GAMMA_SCALES)
+        dim = rows[0].vector.shape[0]
+        gamma_values = tuple(s / dim for s in RunConfig.svm_gamma_scale)
     classes = tuple(sorted({r.label for r in rows}))
     x_all = np.stack([r.vector for r in rows])
     y_all = np.array([r.label for r in rows])
     spk = np.array([r.speaker_id for r in rows])
 
     folds = []
-    for train_speakers, valid_speaker, test_speaker in loso_splits(
-            [ManifestRow(r.utterance_id, "", r.speaker_id, r.label) for r in rows]):
+    for train_speakers, valid_speaker, test_speaker in loso_splits(rows):
         in_train = np.isin(spk, train_speakers)
         in_valid = spk == valid_speaker
         in_test = spk == test_speaker
         std = standardize_fit(x_all[in_train])
-        x_train = standardize_apply(std, x_all[in_train])
-        x_valid = standardize_apply(std, x_all[in_valid])
+        x_train, x_valid, x_test = (standardize_apply(std, x_all[m])
+                                    for m in (in_train, in_valid, in_test))
         best = grid_search((x_train, y_all[in_train]), (x_valid, y_all[in_valid]),
                            c_values, gamma_values)
-        model = svm_train(x_train, y_all[in_train], best.best_c, best.best_gamma,
-                          standardizer=std)
-        pred = svm_predict(model, x_all[in_test])
+        pred = svm_predict(best.model, x_test)
         cm = confusion(list(y_all[in_test]), list(pred), classes)
         folds.append(FoldReport(
             test_speaker=test_speaker, valid_speaker=valid_speaker,
             best_c=best.best_c, best_gamma=best.best_gamma,
             accuracy=accuracy(cm), uar=uar(cm), confusion=cm,
             missing_classes=missing_classes(cm),
-            convergence_warnings=tuple(model.convergence_warnings)))
+            convergence_warnings=tuple(best.model.convergence_warnings)))
 
     pooled = ConfusionMatrix(classes, sum(f.confusion.counts for f in folds))
     return ExperimentReport(
@@ -206,9 +204,9 @@ def run_loso(rows: list[FeatureRow], c_values=DEFAULT_C_VALUES,
 
 
 def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
-                   c_values=None, gamma_values=None,
                    n_workers: int | None = None) -> ExperimentReport:
-    """Extract features for every manifest row, then run the LOSO harness."""
+    """Extract features for every manifest row, then run the LOSO harness on
+    run_cfg's SVM grid."""
     from .features import extract_many, feature_config_hash
 
     feature_rows, errors = extract_many(manifest, feature_kind, run_cfg,
@@ -216,12 +214,9 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
     if errors:
         summary = "; ".join(f"{uid}: {msg}" for uid, msg in errors[:5])
         raise ScatFeatError(f"extraction failed for {len(errors)} rows: {summary}")
-    if c_values is None:
-        c_values = tuple(run_cfg.svm_c)
-    if gamma_values is None:
-        dim = feature_rows[0].vector.shape[0]
-        gamma_values = tuple(s / dim for s in run_cfg.svm_gamma_scale)
-    return run_loso(feature_rows, c_values, gamma_values,
+    dim = feature_rows[0].vector.shape[0]
+    return run_loso(feature_rows, tuple(run_cfg.svm_c),
+                    tuple(s / dim for s in run_cfg.svm_gamma_scale),
                     feature_kind=feature_kind,
                     config_hash=feature_config_hash(run_cfg, feature_kind))
 

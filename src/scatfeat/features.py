@@ -116,6 +116,8 @@ def read_feature_file(path):
             except ValueError as exc:
                 raise ScatFeatError(f"{path}:{reader.line_num + 1}: {exc}") from None
             rows.append(FeatureRow(parts[0], parts[1], parts[2], vec))
+    if not rows:
+        raise ScatFeatError(f"{path}: no feature rows")
     return kind, config_hash, rows
 
 

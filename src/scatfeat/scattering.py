@@ -144,7 +144,8 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     # Decimating (u*phi) by hop aliases its spectrum: fold the n_fft bins
     # onto n_frames bins and invert at the short length. Exact for any
     # n_frames >= 1, and far cheaper than a full-length inverse FFT per path.
-    full = np.concatenate([spectra, np.conj(spectra[:, -2:0:-1])], axis=1)
+    # Bins n_fft - k mirror bins k = (n_fft - 1) // 2 .. 1, for odd n_fft too.
+    full = np.concatenate([spectra, np.conj(spectra[:, (n_fft - 1) // 2:0:-1])], axis=1)
     folded = full.reshape(u.shape[0], hop, n_fft // hop).sum(axis=1)
     frames = np.maximum(np.real(sfft.ifft(folded, axis=1)) / hop, 0.0)
     return frames[0] if single else frames

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from scatfeat.classify import (GridSearchResult, Standardizer, grid_search,
-                               kkt_residual, model_from_json, model_to_json,
-                               rbf_kernel, smo_solve, standardize_apply,
-                               standardize_fit, svm_decision_values,
-                               svm_predict, svm_train)
+from scatfeat.classify import (PairMachine, Standardizer, SvmModel,
+                               grid_search, kkt_residual, model_from_json,
+                               model_to_json, rbf_kernel, smo_solve,
+                               standardize_apply, standardize_fit,
+                               svm_decision_values, svm_predict, svm_train)
+from scatfeat.classify import SOLVER_TOL
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
                              TooFewRowsError)
 
@@ -32,6 +35,22 @@ def qp_reference(kernel, y, c):
     b = cvxopt.matrix(0.0)
     sol = cvxopt.solvers.qp(p, q, g, h, a, b)
     return np.asarray(sol["x"]).ravel()
+
+
+def vote_reference(model, decisions):
+    """Row-by-row majority vote: most votes, then largest summed margin of
+    won pairs, then class order."""
+    labels = []
+    for row in decisions:
+        votes = dict.fromkeys(model.classes, 0)
+        margins = dict.fromkeys(model.classes, 0.0)
+        for m, d in zip(model.pairs, row):
+            winner = m.class_a if d > 0 else m.class_b
+            votes[winner] += 1
+            margins[winner] += abs(d)
+        labels.append(min(model.classes, key=lambda c: (
+            -votes[c], -margins[c], model.classes.index(c))))
+    return labels
 
 
 def dual_objective(kernel, y, alpha):
@@ -93,6 +112,24 @@ class TestSmoSolver:
         a1 = smo_solve(k, y, 1.0)
         a2 = smo_solve(k, y, 1.0)
         assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
+
+    def test_cap_at_the_converging_update(self, rng):
+        x, y_lab = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 20, 0.6)
+        y = np.where(y_lab == "a", 1.0, -1.0)
+        kernel = rbf_kernel(x, x, 1.0)
+        alpha, bias, residual, converged, n = smo_solve(kernel, y, c=2.0)
+        assert converged and n > 1
+        # the n-th update reaches tol: a cap of n must still report converged
+        capped = smo_solve(kernel, y, c=2.0, max_iter=n)
+        assert capped[3] is True and capped[4] == n
+        assert np.array_equal(capped[0], alpha)
+        assert (capped[1], capped[2]) == (bias, residual)
+        alpha_short, _, residual_short, converged_short, n_short = smo_solve(
+            kernel, y, c=2.0, max_iter=n - 1)
+        assert converged_short is False and n_short == n - 1
+        assert residual_short > SOLVER_TOL
+        assert residual_short == pytest.approx(
+            kkt_residual(kernel, y, alpha_short, 2.0), rel=1e-6, abs=1e-9)
 
 
 class TestSvmTrain:
@@ -180,12 +217,52 @@ class TestSvmPredict:
         with pytest.raises(DimensionMismatchError):
             svm_predict(model, np.zeros(5))
 
+    @staticmethod
+    def constant_model(biases):
+        """Three classes whose pair machines have no support vectors, so
+        each decision is the pair's bias: (a, b), (a, c), (b, c)."""
+        classes = ("a", "b", "c")
+        pairs = tuple(PairMachine(classes[ia], classes[ib], np.empty((0, 2)),
+                                  np.empty(0), bias, 0.0, True)
+                      for (ia, ib), bias in zip([(0, 1), (0, 2), (1, 2)], biases))
+        return SvmModel(classes, pairs, 1.0, 1.0,
+                        Standardizer(np.zeros(2), np.ones(2)))
+
+    @pytest.mark.parametrize("biases, expected", [
+        ((1.0, -2.0, 3.0), "b"),   # cyclic votes: largest won margin
+        ((1.0, -1.0, 1.0), "a"),   # votes and margins tie: class order
+        ((-1.0, -1.0, -1.0), "c"),  # c wins both its pairs
+        ((1.0, 1.0, -5.0), "a"),   # votes outrank a larger margin
+    ])
+    def test_vote_tie_break(self, rng, biases, expected):
+        model = self.constant_model(biases)
+        probe = rng.normal(0, 1, (4, 2))
+        assert np.array_equal(svm_decision_values(model, probe),
+                              np.tile(biases, (4, 1)))
+        assert list(svm_predict(model, probe)) == [expected] * 4
+        assert svm_predict(model, probe[0]) == expected
+
+    def test_every_constant_vote_matches_reference(self):
+        probe = np.zeros((1, 2))
+        for biases in itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=3):
+            model = self.constant_model(biases)
+            assert list(svm_predict(model, probe)) == vote_reference(
+                model, svm_decision_values(model, probe)), biases
+
+    def test_trained_model_matches_reference(self, rng):
+        centers = [(c, (2 * np.cos(k), 2 * np.sin(k))) for k, c in enumerate("abcd")]
+        x, y = blobs(rng, centers, 8, 0.9)
+        model = svm_train(x, y, c=1.0, gamma=0.5)
+        probe = rng.normal(0, 2.0, (200, 2))
+        assert list(svm_predict(model, probe)) == vote_reference(
+            model, svm_decision_values(model, probe))
+
 
 class TestGridSearch:
     def test_single_point(self, rng):
         x, y = blobs(rng, [("a", (2, 2)), ("b", (-2, -2))], 10, 0.2)
         result = grid_search((x, y), (x, y), [3.0], [0.5])
-        assert result == GridSearchResult(3.0, 0.5, 1.0)
+        assert (result.best_c, result.best_gamma, result.valid_uar) == (3.0, 0.5, 1.0)
 
     def test_perfect_point_found(self, rng):
         x, y = blobs(rng, [("a", (2, 2)), ("b", (-2, -2))], 12, 0.2)
@@ -196,6 +273,13 @@ class TestGridSearch:
         x, y = blobs(rng, [("a", (3, 3)), ("b", (-3, -3))], 10, 0.1)
         result = grid_search((x, y), (x, y), [10.0, 0.1, 1.0], [2.0, 0.5])
         assert (result.best_c, result.best_gamma) == (0.1, 0.5)
+
+    def test_returns_the_winning_model(self, rng):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
+        xv, yv = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 5, 0.6)
+        result = grid_search((x, y), (xv, yv), [0.1, 10.0], [0.05, 2.0])
+        retrained = svm_train(x, y, result.best_c, result.best_gamma)
+        assert model_to_json(result.model) == model_to_json(retrained)
 
 
 class TestSerialization:

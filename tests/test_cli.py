@@ -115,6 +115,22 @@ class TestTrain:
         assert len(doc["pairs"]) == 1
 
 
+class TestEmptyFeatureFile:
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--report-dir", "rep"],
+        ["train", "--c", "1", "--gamma", "0.1", "--out", "model.json"],
+    ])
+    def test_exits_2(self, tmp_path, capsys, command):
+        feat = tmp_path / "empty.csv"
+        feat.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=abc\n")
+        args = [str(tmp_path / a) if a in ("rep", "model.json") else a
+                for a in command]
+        assert main(args + ["--features", str(feat)]) == 2
+        assert "no feature rows" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+        assert not (tmp_path / "model.json").exists()
+
+
 class TestSweep:
     def test_sweep_csv(self, mini_corpus, cfg_file, tmp_path):
         report_dir = tmp_path / "sweep"

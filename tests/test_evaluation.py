@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatfeat.classify
+from scatfeat.classify import (standardize_apply, standardize_fit, svm_predict,
+                               svm_train)
 from scatfeat.errors import (EmptyMatrixError, ScatFeatError,
                              TooFewSpeakersError, UnknownLabelError)
 from scatfeat.evaluation import (ConfusionMatrix, FeatureRow, ManifestRow,
@@ -171,6 +174,37 @@ class TestRunLoso:
             np.mean([f.accuracy for f in report.folds]))
         pooled = sum(f.confusion.counts for f in report.folds)
         assert np.array_equal(report.pooled_confusion.counts, pooled)
+
+    def test_one_solve_per_fold_cell_and_pair(self, rng, monkeypatch):
+        calls = []
+        solve = scatfeat.classify.smo_solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scatfeat.classify, "smo_solve", counting_solve)
+        run_loso(synthetic_feature_rows(rng), c_values=(1.0, 10.0),
+                 gamma_values=(0.05, 0.5))
+        n_folds, n_cells, n_pairs = 4, 2 * 2, 3
+        assert len(calls) == n_folds * n_cells * n_pairs
+
+    def test_matches_a_retrain_with_the_fold_standardizer(self, rng):
+        rows = synthetic_feature_rows(rng, per_cell=4)
+        for r in rows:
+            r.vector[:] += rng.normal(0, 1.5, r.vector.shape)
+        report = run_loso(rows, c_values=(0.1, 10.0), gamma_values=(0.05, 0.5))
+        x = np.stack([r.vector for r in rows])
+        y = np.array([r.label for r in rows])
+        spk = np.array([r.speaker_id for r in rows])
+        for fold, (train, _, test) in zip(report.folds, loso_splits(rows)):
+            in_train, in_test = np.isin(spk, train), spk == test
+            std = standardize_fit(x[in_train])
+            model = svm_train(standardize_apply(std, x[in_train]), y[in_train],
+                              fold.best_c, fold.best_gamma, standardizer=std)
+            cm = confusion(list(y[in_test]), list(svm_predict(model, x[in_test])),
+                           report.classes)
+            assert np.array_equal(cm.counts, fold.confusion.counts)
 
 
 class TestRendering:

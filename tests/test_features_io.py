@@ -176,6 +176,12 @@ class TestFeatureFile:
         with pytest.raises(ScatFeatError):
             read_feature_file(path)
 
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=abc\n")
+        with pytest.raises(ScatFeatError, match="no feature rows"):
+            read_feature_file(path)
+
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=x\n"

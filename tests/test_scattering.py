@@ -114,6 +114,15 @@ class TestLowpassAverage:
         with pytest.raises(ValueError):
             lowpass_average(np.zeros(N_FFT), BANK1.lowpass, 1000)
 
+    @pytest.mark.parametrize("n, hop", [(9, 3), (15, 5), (27, 9), (12, 3), (16, 4)])
+    def test_matches_full_length_convolution(self, rng, n, hop):
+        u = np.abs(rng.standard_normal(n))
+        lowpass = np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2)  # real, even
+        direct = np.real(np.fft.ifft(np.fft.fft(u) * lowpass))[::hop]
+        frames = lowpass_average(u, lowpass, hop)
+        assert frames.shape == (n // hop,)
+        assert np.max(np.abs(frames - np.maximum(direct, 0.0))) < 1e-12
+
 
 class TestTimeScattering:
     def test_zero_signal_zero_vector(self):
