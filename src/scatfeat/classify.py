@@ -41,12 +41,17 @@ def standardize_apply(s: Standardizer, x: np.ndarray) -> np.ndarray:
     return (x - s.mean) / s.std
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """k(u, v) = exp(-gamma * ||u - v||^2) for all row pairs."""
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||u - v||^2 for all row pairs, clipped at 0 against rounding."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.maximum(sq, 0.0)
+
+
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """k(u, v) = exp(-gamma * ||u - v||^2) for all row pairs."""
+    return np.exp(-gamma * sq_distances(a, b))
 
 
 def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
@@ -63,35 +68,56 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
     Returns (alpha, bias, kkt_residual, converged, n_iter); converged is
     kkt_residual <= tol, also when the max_iter-th update reached it.
     """
+    kernel = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    alpha = np.zeros(y.size)
+    n = y.size
     v = y.copy()  # v_k = y_k - sum_m alpha_m y_m K(m, k)
-    pos = y > 0
+    # Per-index scalars live in Python lists: one update touches two
+    # entries, and numpy scalar access costs more than the arithmetic.
+    pos_rows = y > 0
+    alpha = [0.0] * n
+    pos = pos_rows.tolist()
+    diag = kernel.diagonal().tolist()
+    # I_up / I_low membership as additive penalties: v + up_pen is v on
+    # I_up and -inf off it, v + low_pen is v on I_low and +inf off it.
+    # At alpha = 0 only 0 < c can hold; an update changes entries i and j.
+    up_pen = np.where(pos_rows & (0.0 < c), 0.0, -np.inf)
+    low_pen = np.where(~pos_rows & (0.0 < c), 0.0, np.inf)
+    vi, vj, delta = np.empty(n), np.empty(n), np.empty(n)
     # Pass k checks the KKT conditions after k updates, so the pass that
     # stops the loop supplies the residual and the fallback bias.
     for n_iter in range(max_iter + 1):
-        vi = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
-        vj = np.where(np.where(pos, alpha > 0.0, alpha < c), v, np.inf)
-        i = int(np.argmax(vi))
-        j = int(np.argmin(vj))
-        violation = vi[i] - vj[j]
+        np.add(v, up_pen, out=vi)
+        np.add(v, low_pen, out=vj)
+        i = int(vi.argmax())
+        j = int(vj.argmin())
+        vi_max, vj_min = vi.item(i), vj.item(j)
+        violation = vi_max - vj_min
         if violation <= tol or n_iter == max_iter:
             break
-        quad = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], _STD_FLOOR)
+        quad = max(diag[i] + diag[j] - 2.0 * kernel.item(i, j), _STD_FLOOR)
         step = violation / quad
         # alpha_i moves along +y_i, alpha_j along -y_j; both stay in [0, c]
-        limit_i = c - alpha[i] if pos[i] else alpha[i]
-        limit_j = alpha[j] if pos[j] else c - alpha[j]
+        pos_i, pos_j = pos[i], pos[j]
+        limit_i = c - alpha[i] if pos_i else alpha[i]
+        limit_j = alpha[j] if pos_j else c - alpha[j]
         step = min(step, limit_i, limit_j)
-        alpha[i] = min(max(alpha[i] + (step if pos[i] else -step), 0.0), c)
-        alpha[j] = min(max(alpha[j] - (step if pos[j] else -step), 0.0), c)
-        v -= step * (kernel[i] - kernel[j])
+        alpha[i] = min(max(alpha[i] + (step if pos_i else -step), 0.0), c)
+        alpha[j] = min(max(alpha[j] - (step if pos_j else -step), 0.0), c)
+        for k, pos_k in ((i, pos_i), (j, pos_j)):
+            a = alpha[k]
+            up_pen[k] = 0.0 if (a < c if pos_k else a > 0.0) else -np.inf
+            low_pen[k] = 0.0 if (a > 0.0 if pos_k else a < c) else np.inf
+        np.subtract(kernel[i], kernel[j], out=delta)
+        delta *= step
+        v -= delta
 
+    alpha = np.array(alpha)
     free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
     if np.any(free):
         bias = float(np.mean(v[free]))
     else:
-        bias = float((vi[i] + vj[j]) / 2.0)
+        bias = float((vi_max + vj_min) / 2.0)
     return alpha, bias, float(violation), bool(violation <= tol), n_iter
 
 
@@ -131,6 +157,14 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     svm_predict can be fed raw features. Passing None stores an identity.
     """
     x = np.asarray(x, dtype=np.float64)
+    return _train_on_kernel(x, y, rbf_kernel(x, x, gamma), c, gamma, standardizer)
+
+
+def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
+                     gamma: float, standardizer: Standardizer | None = None
+                     ) -> SvmModel:
+    """svm_train given kernel = rbf_kernel(x, x, gamma); each pair's Gram
+    matrix is a slice of it."""
     labels = np.asarray(y)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
@@ -141,14 +175,13 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     machines = []
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):
-            sel = (labels == classes[ia]) | (labels == classes[ib])
-            xs = x[sel]
+            sel = np.flatnonzero((labels == classes[ia]) | (labels == classes[ib]))
             ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
-            kernel = rbf_kernel(xs, xs, gamma)
-            alpha, bias, residual, converged, _ = smo_solve(kernel, ys, c)
+            alpha, bias, residual, converged, _ = smo_solve(
+                kernel[np.ix_(sel, sel)], ys, c)
             keep = alpha > _SV_TRUNCATE
             machines.append(PairMachine(classes[ia], classes[ib],
-                                        xs[keep], (alpha * ys)[keep],
+                                        x[sel[keep]], (alpha * ys)[keep],
                                         bias, residual, converged))
     return SvmModel(classes, tuple(machines), float(gamma), float(c), standardizer)
 
@@ -212,12 +245,16 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     from .evaluation import confusion, uar  # metric lives with the harness
 
     x_train, y_train = train
+    x_train = np.asarray(x_train, dtype=np.float64)
     x_valid, y_valid = valid
     classes = tuple(sorted(set(list(y_train) + list(y_valid))))
+    # one distance matrix per call: each cell's kernel is exp(-gamma * sq),
+    # exactly what svm_train's rbf_kernel(x_train, x_train, gamma) computes
+    sq = sq_distances(x_train, x_train)
     best = None
     for c in sorted(float(v) for v in c_values):
         for gamma in sorted(float(v) for v in gamma_values):
-            model = svm_train(x_train, y_train, c, gamma)
+            model = _train_on_kernel(x_train, y_train, np.exp(-gamma * sq), c, gamma)
             pred = svm_predict(model, np.atleast_2d(x_valid))
             score = uar(confusion(list(y_valid), list(pred), classes))
             if best is None or score > best.valid_uar:

@@ -38,7 +38,7 @@ class TooFewFramesError(ScatFeatError):
 
 
 class TooFewRowsError(ScatFeatError):
-    """Standardizer needs at least two rows."""
+    """Standardizer or LOSO evaluation given too few feature rows."""
 
 
 class DegenerateClassError(ScatFeatError):

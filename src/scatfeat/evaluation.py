@@ -10,8 +10,8 @@ import numpy as np
 
 from .classify import grid_search, standardize_apply, standardize_fit, svm_predict
 from .config import RunConfig
-from .errors import (EmptyMatrixError, ScatFeatError, TooFewSpeakersError,
-                     UnknownLabelError)
+from .errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
+                     TooFewSpeakersError, UnknownLabelError)
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ def load_manifest(path) -> list[ManifestRow]:
         if header != ["utterance_id", "path", "speaker_id", "label"]:
             raise ScatFeatError(f"{path}: bad manifest header {header}")
         rows = [ManifestRow(*r) for r in reader if r]
+    if not rows:
+        raise ScatFeatError(f"{path}: manifest has no rows")
     ids = [r.utterance_id for r in rows]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -166,6 +168,8 @@ def run_loso(rows: list[FeatureRow], c_values=RunConfig.svm_c,
     to RunConfig's svm_c and svm_gamma_scale, the scales divided by the
     feature dimension.
     """
+    if not rows:
+        raise TooFewRowsError("LOSO evaluation needs feature rows, got none")
     if gamma_values is None:
         dim = rows[0].vector.shape[0]
         gamma_values = tuple(s / dim for s in RunConfig.svm_gamma_scale)
@@ -209,6 +213,8 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
     run_cfg's SVM grid."""
     from .features import extract_many, feature_config_hash
 
+    if not manifest:
+        raise TooFewRowsError("experiment needs manifest rows, got none")
     feature_rows, errors = extract_many(manifest, feature_kind, run_cfg,
                                         n_workers=n_workers)
     if errors:

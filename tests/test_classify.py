@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import scatfeat.classify
 from scatfeat.classify import (PairMachine, Standardizer, SvmModel,
                                grid_search, kkt_residual, model_from_json,
                                model_to_json, rbf_kernel, smo_solve,
                                standardize_apply, standardize_fit,
                                svm_decision_values, svm_predict, svm_train)
-from scatfeat.classify import SOLVER_TOL
+from scatfeat.classify import (_STD_FLOOR, _SV_TRUNCATE, MAX_SMO_ITER,
+                               SOLVER_TOL)
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
                              TooFewRowsError)
 
@@ -22,19 +25,74 @@ def blobs(rng, centers, n_per, sigma=0.1):
 
 
 def qp_reference(kernel, y, c):
-    """Dual SVM solved by a generic QP solver (independent of the SMO path)."""
-    cvxopt = pytest.importorskip("cvxopt")
-    cvxopt.solvers.options["show_progress"] = False
-    n = len(y)
+    """Dual SVM solved by a generic constrained optimizer, SLSQP with
+    bounds [0, c] and alpha . y = 0 (independent of the SMO path)."""
     q_mat = np.outer(y, y) * kernel
-    p = cvxopt.matrix(q_mat + 1e-10 * np.eye(n))
-    q = cvxopt.matrix(-np.ones(n))
-    g = cvxopt.matrix(np.vstack([-np.eye(n), np.eye(n)]))
-    h = cvxopt.matrix(np.concatenate([np.zeros(n), c * np.ones(n)]))
-    a = cvxopt.matrix(y.astype(float), (1, n))
-    b = cvxopt.matrix(0.0)
-    sol = cvxopt.solvers.qp(p, q, g, h, a, b)
-    return np.asarray(sol["x"]).ravel()
+    sol = minimize(lambda a: 0.5 * a @ q_mat @ a - a.sum(), np.zeros(len(y)),
+                   jac=lambda a: q_mat @ a - 1.0, method="SLSQP",
+                   bounds=[(0.0, c)] * len(y),
+                   constraints=[{"type": "eq", "fun": lambda a: a @ y,
+                                 "jac": lambda a: y}],
+                   options={"ftol": 1e-12, "maxiter": 1000})
+    assert sol.success, sol.message
+    return sol.x
+
+
+def smo_reference(kernel, y, c, tol=SOLVER_TOL, max_iter=MAX_SMO_ITER):
+    """smo_solve as a plain numpy loop that rebuilds the I_up / I_low masks
+    from alpha on every pass; smo_solve must reproduce it bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.zeros(y.size)
+    v = y.copy()
+    pos = y > 0
+    for n_iter in range(max_iter + 1):
+        vi = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
+        vj = np.where(np.where(pos, alpha > 0.0, alpha < c), v, np.inf)
+        i = int(np.argmax(vi))
+        j = int(np.argmin(vj))
+        violation = vi[i] - vj[j]
+        if violation <= tol or n_iter == max_iter:
+            break
+        quad = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], _STD_FLOOR)
+        step = violation / quad
+        limit_i = c - alpha[i] if pos[i] else alpha[i]
+        limit_j = alpha[j] if pos[j] else c - alpha[j]
+        step = min(step, limit_i, limit_j)
+        alpha[i] = min(max(alpha[i] + (step if pos[i] else -step), 0.0), c)
+        alpha[j] = min(max(alpha[j] - (step if pos[j] else -step), 0.0), c)
+        v -= step * (kernel[i] - kernel[j])
+
+    free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
+    if np.any(free):
+        bias = float(np.mean(v[free]))
+    else:
+        bias = float((vi[i] + vj[j]) / 2.0)
+    return alpha, bias, float(violation), bool(violation <= tol), n_iter
+
+
+def random_dual(seed):
+    """A seeded binary SVM dual: (kernel, y, c, max_iter). Seeds cycle
+    through c in geomspace(0.01, 100, 9), caps of (default, 1, 7), and
+    plain rows, duplicated rows with their labels, or all-+1 labels."""
+    rng = np.random.default_rng([seed, 5])
+    n = int(rng.integers(2, 40))
+    x = rng.normal(0, 1, (n, int(rng.integers(1, 5))))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if seed % 4 == 1:
+        x[n // 2: 2 * (n // 2)] = x[:n // 2]
+        y[n // 2: 2 * (n // 2)] = y[:n // 2]
+    elif seed % 4 == 2:
+        y[:] = 1.0
+    c = float(np.geomspace(0.01, 100.0, 9)[seed % 9])
+    max_iter = (MAX_SMO_ITER, 1, 7)[seed % 3]
+    return rbf_kernel(x, x, float(10.0 ** rng.uniform(-2, 1))), y, c, max_iter
+
+
+def bits(result):
+    """A solve's (alpha, bias, residual, converged, n_iter), bit for bit."""
+    alpha, bias, residual, converged, n_iter = result
+    return (alpha.dtype, alpha.tobytes(), bias.hex(), residual.hex(),
+            type(converged), converged, type(n_iter), n_iter)
 
 
 def vote_reference(model, decisions):
@@ -112,6 +170,15 @@ class TestSmoSolver:
         a1 = smo_solve(k, y, 1.0)
         a2 = smo_solve(k, y, 1.0)
         assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
+
+    def test_matches_reference_bit_for_bit(self):
+        capped = 0
+        for seed in range(360):
+            kernel, y, c, max_iter = random_dual(seed)
+            ref = smo_reference(kernel, y, c, max_iter=max_iter)
+            assert bits(smo_solve(kernel, y, c, max_iter=max_iter)) == bits(ref), seed
+            capped += not ref[3]
+        assert capped >= 150  # most of the 240 solves capped at 1 or 7 stop early
 
     def test_cap_at_the_converging_update(self, rng):
         x, y_lab = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 20, 0.6)
@@ -273,6 +340,24 @@ class TestGridSearch:
         x, y = blobs(rng, [("a", (3, 3)), ("b", (-3, -3))], 10, 0.1)
         result = grid_search((x, y), (x, y), [10.0, 0.1, 1.0], [2.0, 0.5])
         assert (result.best_c, result.best_gamma) == (0.1, 0.5)
+
+    def test_training_distances_built_once(self, rng, monkeypatch):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
+        xv, yv = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 4, 0.6)
+        shapes = []
+        sq_distances = scatfeat.classify.sq_distances
+
+        def counting(a, b):
+            shapes.append((len(a), len(b)))
+            return sq_distances(a, b)
+
+        monkeypatch.setattr(scatfeat.classify, "sq_distances", counting)
+        grid_search((x, y), (xv, yv), [0.1, 10.0], [0.05, 2.0])
+        # the first call is the training rows' distances, every later one
+        # compares validation rows with a pair's support vectors
+        assert shapes[0] == (30, 30)
+        assert len(shapes) == 1 + 4 * 3
+        assert all(a == 12 for a, _ in shapes[1:])
 
     def test_returns_the_winning_model(self, rng):
         x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)

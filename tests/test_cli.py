@@ -131,6 +131,24 @@ class TestEmptyFeatureFile:
         assert not (tmp_path / "model.json").exists()
 
 
+class TestHeaderOnlyManifest:
+    @pytest.mark.parametrize("command", [
+        ["extract", "--feature", "mfcc", "--out", "feat.csv"],
+        ["sweep", "--q", "3", "--t", "512", "--report-dir", "rep"],
+    ])
+    def test_exits_2(self, cfg_file, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("utterance_id,path,speaker_id,label\n")
+        args = [str(tmp_path / a) if a in ("feat.csv", "rep") else a
+                for a in command]
+        assert main(args + ["--manifest", str(manifest),
+                            "--config", str(cfg_file)]) == 2
+        out, err = capsys.readouterr()
+        assert "manifest has no rows" in err and "wrote" not in out
+        assert not (tmp_path / "feat.csv").exists()
+        assert not (tmp_path / "rep").exists()
+
+
 class TestSweep:
     def test_sweep_csv(self, mini_corpus, cfg_file, tmp_path):
         report_dir = tmp_path / "sweep"

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 import scatfeat.classify
 from scatfeat.classify import (standardize_apply, standardize_fit, svm_predict,
                                svm_train)
-from scatfeat.errors import (EmptyMatrixError, ScatFeatError,
+from scatfeat.config import RunConfig
+from scatfeat.errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
                              TooFewSpeakersError, UnknownLabelError)
 from scatfeat.evaluation import (ConfusionMatrix, FeatureRow, ManifestRow,
                                  accuracy, confusion, confusion_to_text,
                                  load_manifest, loso_splits,
                                  manifest_warnings, missing_classes,
-                                 report_to_csv, report_to_json_dict, run_loso,
-                                 uar)
+                                 report_to_csv, report_to_json_dict,
+                                 run_experiment, run_loso, uar)
 
 
 def rows_for(speakers):
@@ -125,6 +126,12 @@ class TestManifest:
         with pytest.raises(ScatFeatError):
             load_manifest(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("utterance_id,path,speaker_id,label\n\n")
+        with pytest.raises(ScatFeatError, match="no rows"):
+            load_manifest(path)
+
 
 def synthetic_feature_rows(rng, n_speakers=4, n_classes=3, per_cell=6, dim=8):
     """Well-separated class clusters plus a shared speaker nuisance dim."""
@@ -174,6 +181,15 @@ class TestRunLoso:
             np.mean([f.accuracy for f in report.folds]))
         pooled = sum(f.confusion.counts for f in report.folds)
         assert np.array_equal(report.pooled_confusion.counts, pooled)
+
+    @pytest.mark.parametrize("grid", [{}, {"c_values": (1.0,), "gamma_values": (0.1,)}])
+    def test_no_rows_rejected(self, grid):
+        with pytest.raises(TooFewRowsError):
+            run_loso([], **grid)
+
+    def test_experiment_without_rows_rejected(self):
+        with pytest.raises(TooFewRowsError):
+            run_experiment([], "mfcc", RunConfig())
 
     def test_one_solve_per_fold_cell_and_pair(self, rng, monkeypatch):
         calls = []
