@@ -18,7 +18,7 @@ from .errors import ScatFeatError
 from .evaluation import (confusion_to_text, load_manifest, manifest_warnings,
                          param_sweep, report_to_csv, report_to_json_dict,
                          run_loso)
-from .features import default_workers, extract_to_file, read_feature_file
+from .features import extract_to_file, read_feature_file
 from .filterbank import FilterBankSpec, bank_to_csv_rows, build_morlet_bank
 from .scattering import next_pow2
 
@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_ERROR)
+
+
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -52,8 +59,9 @@ def build_parser() -> _Parser:
                    help="feature kind (default: config feature_kind)")
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: SCATFEAT_THREADS or all cores)")
+    p.add_argument("--threads", type=_worker_count, default=None,
+                   help="worker threads, at least 1 (default: SCATFEAT_THREADS "
+                        "or all cores)")
 
     p = sub.add_parser("train", help="train one SVM on a feature file")
     p.add_argument("--features", required=True)
@@ -76,7 +84,7 @@ def build_parser() -> _Parser:
                    help="e.g. 4096,8192,16384,32768")
     p.add_argument("--config", default=None)
     p.add_argument("--report-dir", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_worker_count, default=None)
 
     p = sub.add_parser("inspect-filters", help="dump a Morlet bank as CSV")
     p.add_argument("--q", type=int, required=True)
@@ -96,7 +104,7 @@ def _cmd_extract(args) -> int:
     for warning in manifest_warnings(manifest):
         print(f"warning: {warning}", file=sys.stderr)
     errors = extract_to_file(manifest, kind, cfg, args.out,
-                             n_workers=args.threads or default_workers())
+                             n_workers=args.threads)
     if errors:
         for uid, msg in errors:
             print(f"error: {uid}: {msg}", file=sys.stderr)
@@ -170,7 +178,7 @@ def _cmd_sweep(args) -> int:
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     rows = param_sweep(manifest, args.q, args.t, cfg,
-                       n_workers=args.threads or default_workers())
+                       n_workers=args.threads)
     lines = ["q,t,mean_accuracy,mean_uar"]
     for r in rows:
         lines.append(f"{r.q},{r.t},{r.mean_accuracy:.17g},{r.mean_uar:.17g}")

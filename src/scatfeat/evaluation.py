@@ -29,7 +29,14 @@ def load_manifest(path) -> list[ManifestRow]:
         header = next(reader, None)
         if header != ["utterance_id", "path", "speaker_id", "label"]:
             raise ScatFeatError(f"{path}: bad manifest header {header}")
-        rows = [ManifestRow(*r) for r in reader if r]
+        rows = []
+        for r in reader:
+            if not r:
+                continue
+            if len(r) != 4:
+                raise ScatFeatError(
+                    f"{path}:{reader.line_num}: expected 4 fields, got {len(r)}")
+            rows.append(ManifestRow(*r))
     if not rows:
         raise ScatFeatError(f"{path}: manifest has no rows")
     ids = [r.utterance_id for r in rows]

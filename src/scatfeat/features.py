@@ -63,7 +63,7 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
 
     ordered = sorted(manifest, key=lambda r: r.utterance_id)
     rows, errors = [], []
-    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [(r, pool.submit(one, r)) for r in ordered]
         for row, fut in futures:
             try:

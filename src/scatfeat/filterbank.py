@@ -209,6 +209,7 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
     responses = responses * scale
     responses.flags.writeable = False  # banks are cached and shared
+    lowpass.flags.writeable = False
     filters = tuple(
         BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
                        response, region)

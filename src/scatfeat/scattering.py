@@ -11,6 +11,15 @@ A second-layer path is admissible when the l2 center frequency lies strictly
 below the l1 filter's bandwidth; the envelope |x * psi_l1| carries no energy
 above that bandwidth, so higher l2 paths are omitted rather than zero-filled.
 
+Both layers are exact at full resolution, computed without full-length work
+where the filters allow it. Each wavelet modulus multiplies one FFT of its
+input by the filter's response and inverts only the filter's band: a band
+of m = next_pow2(W) bins (W the width of the response's non-zero support)
+takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
+full-length inverse (see _moduli). Each low-pass is one product with an
+(n_fft, n_frames) averaging matrix of shifted time-domain phi. Both tables
+are built once per filter bank.
+
 Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
 which are the uniformly log-spaced ones). Per protocol those outputs are not
@@ -28,6 +37,7 @@ the row mean, so the layer-wise vectors are slices of the full one: orders
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -114,41 +124,121 @@ class ScatteringFeatures:
         return self.frames.mean(axis=1)
 
 
+class _ByIdentity:
+    """Hashable handle equal only to handles on the same array, so that an
+    lru_cache can key a table on one bank's array without hashing it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __hash__(self) -> int:
+        return id(self.array)
+
+    def __eq__(self, other) -> bool:
+        return self.array is other.array
+
+
+def _memo(table, array: np.ndarray, *args):
+    """table(array, *args) for an lru_cache'd table builder. A cached bank's
+    arrays are read-only and shared, so their tables are built once per
+    bank; a writeable array could change between calls, so its table is
+    rebuilt every time."""
+    build = table.__wrapped__ if array.flags.writeable else table
+    return build(_ByIdentity(array), *args)
+
+
+@lru_cache(maxsize=16)
+def _band_tables(responses: _ByIdentity) -> tuple:
+    """(start, m) for every filter: its non-zero bins lie within the m =
+    next_pow2(W) bins from start on, circularly, where W is the width of
+    the filter's support. The filter bank's underflow cut makes that
+    support exact."""
+    n_fft = responses.array.shape[1]
+    bands = []
+    for response in responses.array:
+        nz = np.flatnonzero(response)
+        gaps = np.diff(nz, append=nz[0] + n_fft)
+        k = int(np.argmax(gaps))  # the longest zero run ends the support
+        bands.append((int(nz[(k + 1) % nz.size]), next_pow2(n_fft - gaps[k] + 1)))
+    return tuple(bands)
+
+
+@lru_cache(maxsize=32)
+def _twiddles(n_fft: int, m: int) -> np.ndarray:
+    """(n_fft // m, m) table (m / n_fft) * exp(2 pi i r j / n_fft), shared
+    by every filter whose band spans m bins."""
+    r = np.arange(n_fft // m)[:, None]
+    j = np.arange(m)[None, :]
+    table = (m / n_fft) * np.exp(2j * np.pi * ((r * j) % n_fft) / n_fft)
+    table.flags.writeable = False
+    return table
+
+
+def _moduli(spectrum: np.ndarray, responses: np.ndarray, bands) -> np.ndarray:
+    """|ifft(spectrum * response)| for every row of responses, inverted over
+    each filter's band only.
+
+    With the band's m bins Y[start + j] and n_fft = L * m, the inverse DFT
+    splits by decimation in time: y[r + L * k] = exp(2 pi i start n / n_fft)
+    * (m / n_fft) * ifft_m(Y[start + j] * exp(2 pi i r j / n_fft))[k]. The
+    modulus drops the band's phase, so L inverse FFTs of length m give the
+    full-resolution |x * psi| exactly. For m == n_fft this is the plain
+    inverse FFT of the rotated spectrum.
+    """
+    n_fft = spectrum.shape[0]
+
+    def circular(v, start, m):  # v[start:start + m], wrapping past the end
+        over = start + m - n_fft
+        return v[start:start + m] if over <= 0 else np.concatenate((v[start:], v[:over]))
+
+    out = np.empty(responses.shape)
+    for response, (start, m), row in zip(responses, bands, out):
+        band = circular(spectrum, start, m) * circular(response, start, m)
+        z = sfft.ifft(_twiddles(n_fft, m) * band, axis=1, overwrite_x=True)
+        np.abs(z.T, out=row.reshape(m, n_fft // m))
+    return out
+
+
 def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """|x * psi| for every filter, computed by frequency-domain products
-    with the analytic responses. Returns an (n_filters, n_fft) array."""
+    """|x * psi| for every filter at full resolution: one FFT of x, then
+    each filter's product with the spectrum is inverted over the filter's
+    band only (see _moduli). Returns an (n_filters, n_fft) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != bank.spec.n_fft:
         raise LengthMismatchError(
             f"signal length {x.shape} does not match bank n_fft={bank.spec.n_fft}")
-    spectrum = sfft.fft(x)
-    return np.abs(sfft.ifft(spectrum[None, :] * bank.responses, axis=1))
+    return _moduli(sfft.fft(x), bank.responses, _memo(_band_tables, bank.responses))
+
+
+@lru_cache(maxsize=16)
+def _averaging_matrix(lowpass: _ByIdentity, hop: int) -> np.ndarray:
+    """(n_fft, n_fft // hop) matrix whose column f is phi = real(ifft(
+    lowpass)) reversed and shifted to f * hop: u @ matrix is the circular
+    convolution u * phi sampled every hop samples."""
+    phi = np.real(sfft.ifft(lowpass.array))
+    n_fft = phi.shape[0]
+    matrix = phi[(np.arange(0, n_fft, hop)[None, :] - np.arange(n_fft)[:, None]) % n_fft]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
-    """Convolve path sequences with phi (circularly, in frequency) and sample
-    every `hop` samples. Tiny negative FFT residue is clamped so averaged
-    moduli stay non-negative. Accepts a single sequence or a matrix of them.
+    """Convolve path sequences with phi (circularly) and sample every `hop`
+    samples, as one product with the averaging matrix of (lowpass, hop),
+    built once per bank. Tiny negative rounding residue is clamped so
+    averaged moduli stay non-negative. Accepts a single sequence or a
+    matrix of them.
     """
     u = np.asarray(u, dtype=np.float64)
-    single = u.ndim == 1
-    if single:
-        u = u[None, :]
     n_fft = lowpass.shape[0]
-    if u.shape[1] != n_fft:
+    if u.shape[-1] != n_fft:
         raise LengthMismatchError(
-            f"sequence length {u.shape[1]} does not match lowpass length {n_fft}")
+            f"sequence length {u.shape[-1]} does not match lowpass length {n_fft}")
     if hop < 1 or n_fft % hop != 0:
         raise ValueError(f"hop={hop} must divide n_fft={n_fft}")
-    spectra = sfft.rfft(u, axis=1) * lowpass[: n_fft // 2 + 1]
-    # Decimating (u*phi) by hop aliases its spectrum: fold the n_fft bins
-    # onto n_frames bins and invert at the short length. Exact for any
-    # n_frames >= 1, and far cheaper than a full-length inverse FFT per path.
-    # Bins n_fft - k mirror bins k = (n_fft - 1) // 2 .. 1, for odd n_fft too.
-    full = np.concatenate([spectra, np.conj(spectra[:, (n_fft - 1) // 2:0:-1])], axis=1)
-    folded = full.reshape(u.shape[0], hop, n_fft // hop).sum(axis=1)
-    frames = np.maximum(np.real(sfft.ifft(folded, axis=1)) / hop, 0.0)
-    return frames[0] if single else frames
+    return np.maximum(u @ _memo(_averaging_matrix, lowpass, hop), 0.0)
 
 
 def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
@@ -172,15 +262,17 @@ def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
     paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
     blocks = [lowpass_average(x, bank1.lowpass, cfg.hop)[None, :],
               lowpass_average(u1, bank1.lowpass, cfg.hop)]
+    bands2 = _memo(_band_tables, bank2.responses)
     centers2 = bank2.center_freqs
+    n2 = len(centers2)
     for i1, f1 in enumerate(bank1.filters):
-        admissible = np.flatnonzero(centers2 < f1.bandwidth)
-        if admissible.size == 0:
+        # Centers descend, so the admissible filters are a suffix of the bank.
+        first = n2 - int(np.sum(centers2 < f1.bandwidth))
+        if first == n2:
             continue
-        u2 = np.abs(sfft.ifft(sfft.fft(u1[i1])[None, :] * bank2.responses[admissible],
-                              axis=1))
+        u2 = _moduli(sfft.fft(u1[i1]), bank2.responses[first:], bands2[first:])
         blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
-        paths += [ScatteringPath(2, i1, int(i2)) for i2 in admissible]
+        paths += [ScatteringPath(2, i1, i2) for i2 in range(first, n2)]
 
     frames = np.concatenate(blocks)
     if cfg.log_compress:

@@ -149,6 +149,38 @@ class TestHeaderOnlyManifest:
         assert not (tmp_path / "rep").exists()
 
 
+class TestShortManifestRow:
+    @pytest.mark.parametrize("command", [
+        ["extract", "--feature", "mfcc", "--out", "feat.csv"],
+        ["sweep", "--q", "3", "--t", "512", "--report-dir", "rep"],
+    ])
+    def test_exits_2(self, cfg_file, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("utterance_id,path,speaker_id,label\nu1,a.wav,s1\n")
+        args = [str(tmp_path / a) if a in ("feat.csv", "rep") else a
+                for a in command]
+        assert main(args + ["--manifest", str(manifest),
+                            "--config", str(cfg_file)]) == 2
+        out, err = capsys.readouterr()
+        assert "manifest.csv:2: expected 4 fields, got 3" in err
+        assert "Traceback" not in err and "wrote" not in out
+        assert not (tmp_path / "feat.csv").exists()
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["extract", "--manifest", "m.csv", "--out", "feat.csv"],
+        ["sweep", "--manifest", "m.csv", "--q", "3", "--t", "512",
+         "--report-dir", "rep"],
+    ])
+    def test_below_one_is_a_usage_error(self, capsys, command, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--threads", threads])
+        assert exc.value.code == 1
+        assert f"must be at least 1, got {int(threads)}" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_csv(self, mini_corpus, cfg_file, tmp_path):
         report_dir = tmp_path / "sweep"

@@ -132,6 +132,15 @@ class TestManifest:
         with pytest.raises(ScatFeatError, match="no rows"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("row", ["u2,b.wav,s2", "u2,b.wav,s2,x,extra"])
+    def test_wrong_field_count_rejected(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"utterance_id,path,speaker_id,label\nu1,a.wav,s1,x\n{row}\n")
+        n_fields = len(row.split(","))
+        with pytest.raises(ScatFeatError,
+                           match=rf"m\.csv:3: expected 4 fields, got {n_fields}"):
+            load_manifest(path)
+
 
 def synthetic_feature_rows(rng, n_speakers=4, n_classes=3, per_cell=6, dim=8):
     """Well-separated class clusters plus a shared speaker nuisance dim."""

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
-from scatfeat.audio_io import Waveform
+from scatfeat import scattering
+from scatfeat.audio_io import Waveform, fix_length, pad_or_crop_center
+from scatfeat.config import RunConfig
 from scatfeat.errors import (AxisTooShortError, InvalidSpecError,
                              LengthMismatchError, SampleRateError)
 from scatfeat.filterbank import cached_bank
@@ -22,6 +25,52 @@ BANK2 = cached_bank(CFG.q2, CFG.t, N_FFT)
 
 def sine_norm(freq_normalized, n, amp=1.0, phase=0.1):
     return amp * np.cos(2 * np.pi * freq_normalized * np.arange(n) + phase)
+
+
+# The full-length transform, kept as the oracle: one n_fft inverse FFT per
+# filter, and a low-pass by rfft, product with phi, folding onto n_frames
+# bins and a short inverse FFT.
+def reference_wavelet_modulus(x, bank):
+    return np.abs(sfft.ifft(sfft.fft(x)[None, :] * bank.responses, axis=1))
+
+
+def reference_lowpass_average(u, lowpass, hop):
+    n_fft = lowpass.shape[0]
+    spectra = sfft.rfft(u, axis=1) * lowpass[: n_fft // 2 + 1]
+    full = np.concatenate([spectra, np.conj(spectra[:, (n_fft - 1) // 2:0:-1])], axis=1)
+    folded = full.reshape(u.shape[0], hop, n_fft // hop).sum(axis=1)
+    return np.maximum(np.real(sfft.ifft(folded, axis=1)) / hop, 0.0)
+
+
+def reference_time_scattering(w, cfg):
+    """(paths_order, frames) of the full-length transform."""
+    n_fft = cfg.n_fft
+    x = pad_or_crop_center(fix_length(w, cfg.n).samples, n_fft)
+    bank1 = cached_bank(cfg.q1, cfg.t, n_fft)
+    bank2 = cached_bank(cfg.q2, cfg.t, n_fft)
+    u1 = reference_wavelet_modulus(x, bank1)
+    paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
+    blocks = [reference_lowpass_average(x[None, :], bank1.lowpass, cfg.hop),
+              reference_lowpass_average(u1, bank1.lowpass, cfg.hop)]
+    for i1, f1 in enumerate(bank1.filters):
+        admissible = np.flatnonzero(bank2.center_freqs < f1.bandwidth)
+        if admissible.size == 0:
+            continue
+        u2 = np.abs(sfft.ifft(sfft.fft(u1[i1])[None, :] * bank2.responses[admissible],
+                              axis=1))
+        blocks.append(reference_lowpass_average(u2, bank1.lowpass, cfg.hop))
+        paths += [ScatteringPath(2, i1, int(i2)) for i2 in admissible]
+    frames = np.concatenate(blocks)
+    if cfg.log_compress:
+        frames = np.log(frames + cfg.log_eps)
+    return tuple(paths), frames
+
+
+def assert_rows_close(got, want, rel=1e-12):
+    """Every entry within rel times the largest |entry| of its row."""
+    assert got.shape == want.shape
+    bound = rel * np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 class TestWaveletModulus:
@@ -45,6 +94,12 @@ class TestWaveletModulus:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             wavelet_modulus(np.zeros(N_FFT // 2), BANK1)
+
+    @pytest.mark.parametrize("q", [1, 3, 8])
+    def test_matches_full_length_reference(self, rng, q):
+        bank = cached_bank(q, CFG.t, N_FFT)
+        x = rng.standard_normal(N_FFT)
+        assert_rows_close(wavelet_modulus(x, bank), reference_wavelet_modulus(x, bank))
 
 
 def order2(feats):
@@ -113,6 +168,13 @@ class TestLowpassAverage:
     def test_hop_must_divide(self):
         with pytest.raises(ValueError):
             lowpass_average(np.zeros(N_FFT), BANK1.lowpass, 1000)
+
+    def test_matches_folded_reference(self, rng):
+        u = np.abs(rng.standard_normal((5, N_FFT)))
+        want = reference_lowpass_average(u, BANK1.lowpass, CFG.hop)
+        assert_rows_close(lowpass_average(u, BANK1.lowpass, CFG.hop), want)
+        # A writeable low-pass is not memoised, and gives the same frames.
+        assert_rows_close(lowpass_average(u, BANK1.lowpass.copy(), CFG.hop), want)
 
     @pytest.mark.parametrize("n, hop", [(9, 3), (15, 5), (27, 9), (12, 3), (16, 4)])
     def test_matches_full_length_convolution(self, rng, n, hop):
@@ -192,6 +254,52 @@ class TestTimeScattering:
         with pytest.raises(InvalidSpecError):
             time_scattering(Waveform(np.zeros(100), FS),
                             ScatteringConfig(t=8192, n=100))
+
+
+def oracle_signal(kind, cfg):
+    n = np.arange(cfg.n)
+    if kind == "zero":
+        return np.zeros(cfg.n)
+    if kind == "impulse":
+        return (n == cfg.n // 3).astype(float)
+    if kind == "band-edge-sine":
+        # the lowest non-zero bin of the narrowest first-layer band
+        bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
+        k = np.flatnonzero(bank1.responses[-1])[0]
+        return 0.5 * np.cos(2 * np.pi * k * n / cfg.n_fft)
+    seed = int(kind.split("-")[1])
+    return 0.1 * np.random.default_rng(seed).standard_normal(cfg.n)
+
+
+class TestFullLengthOracle:
+    """time_scattering against the kept full-length transform, on the
+    classification default and the linear transform."""
+
+    @pytest.mark.parametrize("kind", ["zero", "impulse", "band-edge-sine",
+                                      "noise-1", "noise-2"])
+    @pytest.mark.parametrize("cfg", [RunConfig().scattering_config(), ScatteringConfig()],
+                             ids=["run-default", "linear"])
+    def test_matches(self, cfg, kind):
+        w = Waveform(oracle_signal(kind, cfg), FS)
+        paths, frames = reference_time_scattering(w, cfg)
+        feats = time_scattering(w, cfg)
+        assert feats.paths_order == paths
+        assert_rows_close(feats.frames, frames)
+
+    def test_tables_built_once_per_bank(self, rng):
+        tables = (scattering._averaging_matrix, scattering._band_tables,
+                  scattering._twiddles)
+        for table in tables:
+            table.cache_clear()
+        for _ in range(3):
+            time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)
+        averaging, bands, twiddles = (table.cache_info() for table in tables)
+        assert averaging.misses == 1 and averaging.hits > 0
+        assert bands.misses == 2 and bands.hits > 0  # one per bank
+        widths = {m for bank in (BANK1, BANK2)
+                  for _, m in scattering._band_tables.__wrapped__(
+                      scattering._ByIdentity(bank.responses))}
+        assert twiddles.misses == len(widths)
 
 
 class TestFrequencyScattering:
