@@ -20,7 +20,7 @@ wavelet transform non-expansive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -84,12 +84,17 @@ class BandpassFilter:
 @dataclass(frozen=True)
 class FilterBank:
     """Band-pass filters, the low-pass and their spec; responses stacks
-    every band-pass gain as an (n_filters, n_fft) matrix."""
+    every band-pass gain as an (n_filters, n_fft) matrix, and supports
+    holds each row's non-zero band (see band_supports)."""
 
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
     spec: FilterBankSpec
     responses: np.ndarray
+    supports: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "supports", band_supports(self.responses))
 
     @property
     def center_freqs(self) -> np.ndarray:
@@ -101,6 +106,20 @@ class FilterBank:
 
     def geometric_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.filters) if f.region == "geo"]
+
+
+def band_supports(responses: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(start, width) for every row: its non-zero bins lie within the width
+    bins from start on, circularly, and width is the smallest such span.
+    Gains are cut where exp() underflows, so each support is exact."""
+    n_fft = responses.shape[1]
+    supports = []
+    for response in responses:
+        nz = np.flatnonzero(response)
+        gaps = np.diff(nz, append=nz[0] + n_fft)
+        k = int(np.argmax(gaps))  # the longest zero run ends the support
+        supports.append((int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)))
+    return tuple(supports)
 
 
 def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
@@ -209,7 +228,6 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
     responses = responses * scale
     responses.flags.writeable = False  # banks are cached and shared
-    lowpass.flags.writeable = False
     filters = tuple(
         BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
                        response, region)

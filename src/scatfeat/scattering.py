@@ -16,9 +16,11 @@ where the filters allow it. Each wavelet modulus multiplies one FFT of its
 input by the filter's response and inverts only the filter's band: a band
 of m = next_pow2(W) bins (W the width of the response's non-zero support)
 takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
-full-length inverse (see _moduli). Each low-pass is one product with an
-(n_fft, n_frames) averaging matrix of shifted time-domain phi. Both tables
-are built once per filter bank.
+full-length inverse (see _moduli); each bank holds its filters' supports.
+Each low-pass is exact too: the convolution with phi sampled every hop
+splits into hop circular convolutions of length n_frames, done by rffts of
+that length against a cached table (see lowpass_average), so no path takes
+a full-length FFT.
 
 Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
@@ -124,47 +126,6 @@ class ScatteringFeatures:
         return self.frames.mean(axis=1)
 
 
-class _ByIdentity:
-    """Hashable handle equal only to handles on the same array, so that an
-    lru_cache can key a table on one bank's array without hashing it."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-    def __hash__(self) -> int:
-        return id(self.array)
-
-    def __eq__(self, other) -> bool:
-        return self.array is other.array
-
-
-def _memo(table, array: np.ndarray, *args):
-    """table(array, *args) for an lru_cache'd table builder. A cached bank's
-    arrays are read-only and shared, so their tables are built once per
-    bank; a writeable array could change between calls, so its table is
-    rebuilt every time."""
-    build = table.__wrapped__ if array.flags.writeable else table
-    return build(_ByIdentity(array), *args)
-
-
-@lru_cache(maxsize=16)
-def _band_tables(responses: _ByIdentity) -> tuple:
-    """(start, m) for every filter: its non-zero bins lie within the m =
-    next_pow2(W) bins from start on, circularly, where W is the width of
-    the filter's support. The filter bank's underflow cut makes that
-    support exact."""
-    n_fft = responses.array.shape[1]
-    bands = []
-    for response in responses.array:
-        nz = np.flatnonzero(response)
-        gaps = np.diff(nz, append=nz[0] + n_fft)
-        k = int(np.argmax(gaps))  # the longest zero run ends the support
-        bands.append((int(nz[(k + 1) % nz.size]), next_pow2(n_fft - gaps[k] + 1)))
-    return tuple(bands)
-
-
 @lru_cache(maxsize=32)
 def _twiddles(n_fft: int, m: int) -> np.ndarray:
     """(n_fft // m, m) table (m / n_fft) * exp(2 pi i r j / n_fft), shared
@@ -176,9 +137,10 @@ def _twiddles(n_fft: int, m: int) -> np.ndarray:
     return table
 
 
-def _moduli(spectrum: np.ndarray, responses: np.ndarray, bands) -> np.ndarray:
+def _moduli(spectrum: np.ndarray, responses: np.ndarray, supports) -> np.ndarray:
     """|ifft(spectrum * response)| for every row of responses, inverted over
-    each filter's band only.
+    each filter's band only: the m = next_pow2(width) bins from the start of
+    the filter's support (FilterBank.supports).
 
     With the band's m bins Y[start + j] and n_fft = L * m, the inverse DFT
     splits by decimation in time: y[r + L * k] = exp(2 pi i start n / n_fft)
@@ -194,7 +156,8 @@ def _moduli(spectrum: np.ndarray, responses: np.ndarray, bands) -> np.ndarray:
         return v[start:start + m] if over <= 0 else np.concatenate((v[start:], v[:over]))
 
     out = np.empty(responses.shape)
-    for response, (start, m), row in zip(responses, bands, out):
+    for response, (start, width), row in zip(responses, supports, out):
+        m = next_pow2(width)
         band = circular(spectrum, start, m) * circular(response, start, m)
         z = sfft.ifft(_twiddles(n_fft, m) * band, axis=1, overwrite_x=True)
         np.abs(z.T, out=row.reshape(m, n_fft // m))
@@ -209,27 +172,34 @@ def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     if x.ndim != 1 or x.shape[0] != bank.spec.n_fft:
         raise LengthMismatchError(
             f"signal length {x.shape} does not match bank n_fft={bank.spec.n_fft}")
-    return _moduli(sfft.fft(x), bank.responses, _memo(_band_tables, bank.responses))
+    return _moduli(sfft.fft(x), bank.responses, bank.supports)
 
 
-@lru_cache(maxsize=16)
-def _averaging_matrix(lowpass: _ByIdentity, hop: int) -> np.ndarray:
-    """(n_fft, n_fft // hop) matrix whose column f is phi = real(ifft(
-    lowpass)) reversed and shifted to f * hop: u @ matrix is the circular
-    convolution u * phi sampled every hop samples."""
-    phi = np.real(sfft.ifft(lowpass.array))
+@lru_cache(maxsize=8)
+def _polyphase_lowpass(lowpass: bytes, hop: int) -> np.ndarray:
+    """(n_frames // 2 + 1, hop) table: column b is the rfft of phi_b[d] =
+    phi[d * hop - b], phi = real(ifft(lowpass)), over d < n_frames. Keyed
+    on the low-pass's bytes, so every bank with the same (t, n_fft) shares
+    one."""
+    phi = np.real(sfft.ifft(np.frombuffer(lowpass)))
     n_fft = phi.shape[0]
-    matrix = phi[(np.arange(0, n_fft, hop)[None, :] - np.arange(n_fft)[:, None]) % n_fft]
-    matrix.flags.writeable = False
-    return matrix
+    d = np.arange(n_fft // hop)[:, None]
+    table = sfft.rfft(phi[(d * hop - np.arange(hop)[None, :]) % n_fft], axis=0)
+    table.flags.writeable = False
+    return table
 
 
 def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     """Convolve path sequences with phi (circularly) and sample every `hop`
-    samples, as one product with the averaging matrix of (lowpass, hop),
-    built once per bank. Tiny negative rounding residue is clamped so
-    averaged moduli stay non-negative. Accepts a single sequence or a
-    matrix of them.
+    samples. Accepts a single sequence or a matrix of them.
+
+    Split n = a * hop + b: each frame is the sum over b of the circular
+    convolutions, of length n_frames, of u_b[a] = u[a * hop + b] with
+    phi_b. So one rfft of length n_frames per b, a product with the cached
+    table of phi_b's rffts, a sum over b and one inverse rfft give the
+    frames exactly, at O(n_fft log n_frames) per path and an O(n_fft)
+    table. Tiny negative rounding residue is clamped so averaged moduli
+    stay non-negative.
     """
     u = np.asarray(u, dtype=np.float64)
     n_fft = lowpass.shape[0]
@@ -238,7 +208,11 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
             f"sequence length {u.shape[-1]} does not match lowpass length {n_fft}")
     if hop < 1 or n_fft % hop != 0:
         raise ValueError(f"hop={hop} must divide n_fft={n_fft}")
-    return np.maximum(u @ _memo(_averaging_matrix, lowpass, hop), 0.0)
+    n_frames = n_fft // hop
+    table = _polyphase_lowpass(np.asarray(lowpass, dtype=np.float64).tobytes(), hop)
+    spectra = sfft.rfft(u.reshape(u.shape[:-1] + (n_frames, hop)), axis=-2)
+    frames = sfft.irfft(np.einsum("...kb,kb->...k", spectra, table), n=n_frames, axis=-1)
+    return np.maximum(frames, 0.0)
 
 
 def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
@@ -262,7 +236,6 @@ def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
     paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
     blocks = [lowpass_average(x, bank1.lowpass, cfg.hop)[None, :],
               lowpass_average(u1, bank1.lowpass, cfg.hop)]
-    bands2 = _memo(_band_tables, bank2.responses)
     centers2 = bank2.center_freqs
     n2 = len(centers2)
     for i1, f1 in enumerate(bank1.filters):
@@ -270,7 +243,8 @@ def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
         first = n2 - int(np.sum(centers2 < f1.bandwidth))
         if first == n2:
             continue
-        u2 = _moduli(sfft.fft(u1[i1]), bank2.responses[first:], bands2[first:])
+        u2 = _moduli(sfft.fft(u1[i1]), bank2.responses[first:],
+                     bank2.supports[first:])
         blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
         paths += [ScatteringPath(2, i1, i2) for i2 in range(first, n2)]
 

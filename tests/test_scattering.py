@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from scatfeat import scattering
+from scatfeat import filterbank, scattering
 from scatfeat.audio_io import Waveform, fix_length, pad_or_crop_center
 from scatfeat.config import RunConfig
 from scatfeat.errors import (AxisTooShortError, InvalidSpecError,
@@ -173,10 +175,38 @@ class TestLowpassAverage:
         u = np.abs(rng.standard_normal((5, N_FFT)))
         want = reference_lowpass_average(u, BANK1.lowpass, CFG.hop)
         assert_rows_close(lowpass_average(u, BANK1.lowpass, CFG.hop), want)
-        # A writeable low-pass is not memoised, and gives the same frames.
-        assert_rows_close(lowpass_average(u, BANK1.lowpass.copy(), CFG.hop), want)
+        # The table is keyed on values: a copy of the low-pass gives the
+        # same frames, and so does one that was changed and changed back.
+        lowpass = BANK1.lowpass.copy()
+        assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
+        lowpass[0] = 0.5
+        assert not np.allclose(lowpass_average(u, lowpass, CFG.hop), want)
+        lowpass[0] = BANK1.lowpass[0]
+        assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
 
-    @pytest.mark.parametrize("n, hop", [(9, 3), (15, 5), (27, 9), (12, 3), (16, 4)])
+    @pytest.mark.parametrize("t", [16384, 512, 64])
+    def test_memory_does_not_grow_with_frames(self, rng, t):
+        """The cached table holds about n_fft / 2 complex values at every t.
+        A dense (n_fft, n_frames) averaging matrix would take 1 GiB at
+        n_fft = 65536 and t = 64 (2048 frames per row)."""
+        n_fft = 65536
+        lowpass = cached_bank(1, t, n_fft).lowpass
+        u = np.abs(rng.standard_normal((3, n_fft)))
+        want = reference_lowpass_average(u, lowpass, t // 2)
+        scattering._polyphase_lowpass.cache_clear()
+        tracemalloc.start()
+        try:
+            got = lowpass_average(u, lowpass, t // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_rows_close(got, want)
+        table = scattering._polyphase_lowpass(lowpass.tobytes(), t // 2)
+        assert table.size <= n_fft // 2 + t // 2
+        assert peak < 4 * 16 * u.size  # a few complex copies of u
+
+    @pytest.mark.parametrize("n, hop", [(9, 3), (15, 5), (27, 9), (12, 3), (16, 4),
+                                        (99, 1), (256, 4), (512, 2)])
     def test_matches_full_length_convolution(self, rng, n, hop):
         u = np.abs(rng.standard_normal(n))
         lowpass = np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2)  # real, even
@@ -286,19 +316,34 @@ class TestFullLengthOracle:
         assert feats.paths_order == paths
         assert_rows_close(feats.frames, frames)
 
-    def test_tables_built_once_per_bank(self, rng):
-        tables = (scattering._averaging_matrix, scattering._band_tables,
-                  scattering._twiddles)
+    def test_matches_at_many_frames(self):
+        """t = 512 gives 256 frames per path. Linear frames: at this t,
+        frames over the zero padding are near 0, where the log scales
+        rounding by 1 / log_eps."""
+        cfg = ScatteringConfig(q1=2, t=512)
+        w = Waveform(oracle_signal("noise-1", cfg), FS)
+        paths, frames = reference_time_scattering(w, cfg)
+        feats = time_scattering(w, cfg)
+        assert feats.paths_order == paths
+        assert_rows_close(feats.frames, frames)
+
+    def test_tables_built_once(self, rng, monkeypatch):
+        """Supports are built with a bank, the low-pass table once per
+        low-pass and each twiddle table once per band width: none of them
+        per utterance or per row."""
+        time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)  # banks
+        supports = []
+        monkeypatch.setattr(filterbank, "band_supports",
+                            lambda r: supports.append(r) or ())
+        tables = (scattering._polyphase_lowpass, scattering._twiddles)
         for table in tables:
             table.cache_clear()
         for _ in range(3):
             time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)
-        averaging, bands, twiddles = (table.cache_info() for table in tables)
-        assert averaging.misses == 1 and averaging.hits > 0
-        assert bands.misses == 2 and bands.hits > 0  # one per bank
-        widths = {m for bank in (BANK1, BANK2)
-                  for _, m in scattering._band_tables.__wrapped__(
-                      scattering._ByIdentity(bank.responses))}
+        lowpass, twiddles = (table.cache_info() for table in tables)
+        assert supports == []
+        assert lowpass.misses == 1 and lowpass.hits > 0
+        widths = {next_pow2(w) for bank in (BANK1, BANK2) for _, w in bank.supports}
         assert twiddles.misses == len(widths)
 
 
