@@ -16,10 +16,9 @@ from .features import (extract_many, extract_vector, read_feature_file,
 from .filterbank import (BandpassFilter, FilterBank, FilterBankSpec,
                          build_morlet_bank, littlewood_paley_bounds,
                          littlewood_paley_sum)
-from .mfcc import MfccConfig, mel_filterbank, mfcc_frames, mfcc_stats
-from .scattering import (FrequencyScatteringPath, ScatteringConfig,
-                         ScatteringFeatures, ScatteringPath,
-                         frequency_scattering, lowpass_average,
-                         time_scattering, wavelet_modulus)
+from .mfcc import mel_filterbank, mfcc_frames, mfcc_stats
+from .scattering import (FrequencyScatteringPath, ScatteringFeatures,
+                         ScatteringPath, frequency_scattering,
+                         lowpass_average, time_scattering, wavelet_modulus)
 
 __version__ = "0.1.0"

@@ -161,3 +161,7 @@ def pad_or_crop_center(x: np.ndarray, n: int) -> np.ndarray:
         return x[start:start + n]
     left = (n - cur) // 2
     return np.pad(x, (left, n - cur - left))
+
+
+def next_pow2(n: int) -> int:
+    return 1 << max(int(n) - 1, 0).bit_length()

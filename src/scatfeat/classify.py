@@ -10,7 +10,6 @@ import numpy as np
 from .errors import (DegenerateClassError, DimensionMismatchError,
                      TooFewRowsError)
 
-KKT_TOL = 1e-3  # contract bound on the post-training KKT residual
 # The solver iterates well past the contract so the decision function is
 # insensitive (within ~1e-6) to the training sample order.
 SOLVER_TOL = 1e-7

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .audio_io import next_pow2
 from .classify import model_to_json, svm_train
 from .config import (FEATURE_KINDS, RunConfig, config_to_text,
                      feature_config_hash, load_config)
@@ -20,7 +21,6 @@ from .evaluation import (confusion_to_text, load_manifest, manifest_warnings,
                          run_loso)
 from .features import extract_to_file, read_feature_file
 from .filterbank import FilterBankSpec, bank_to_csv_rows, build_morlet_bank
-from .scattering import next_pow2
 
 USAGE_ERROR, DATA_ERROR, CONVERGENCE_WARNING = 1, 2, 3
 
@@ -60,8 +60,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=_worker_count, default=None,
-                   help="worker threads, at least 1 (default: SCATFEAT_THREADS "
-                        "or all cores)")
+                   help="worker threads, at least 1 (default: all cores)")
 
     p = sub.add_parser("train", help="train one SVM on a feature file")
     p.add_argument("--features", required=True)
@@ -91,7 +90,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="signal length in samples")
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", type=int, default=16000)
     return parser
 
 
@@ -190,7 +188,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_inspect_filters(args) -> int:
     bank = build_morlet_bank(FilterBankSpec(args.q, args.t, next_pow2(args.n)))
-    rows = bank_to_csv_rows(bank, args.sample_rate)
+    rows = bank_to_csv_rows(bank)
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.out} ({len(bank.filters)} filters)")
     return 0

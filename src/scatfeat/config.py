@@ -1,4 +1,5 @@
-"""Run configuration: file round-trip and feature config hashing."""
+"""Run configuration: the one parameter set, its file round-trip and feature
+config hashing."""
 
 from __future__ import annotations
 
@@ -6,43 +7,48 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .audio_io import SAMPLE_RATE_HZ
-from .errors import ScatFeatError
-from .mfcc import MfccConfig
-from .scattering import ScatteringConfig
+from .audio_io import SAMPLE_RATE_HZ, next_pow2
+from .errors import InvalidSpecError, ScatFeatError
 
 FEATURE_KINDS = ("scatnet", "f-scatnet", "mfcc", "scat-layer1", "scat-layer2")
+
+# Keys that once were settable and can take only these values now. Configs
+# that carry them still load, and hashes still include them, so every
+# feature file keeps its hash.
+_RETIRED = {"sample_rate_hz": SAMPLE_RATE_HZ, "log_compress": True}
 
 # Fields whose values change extracted feature vectors, per kind family.
 _SCAT_HASH_FIELDS = ("sample_rate_hz", "q1", "q2", "t", "n", "f_wavelet_len",
                      "log_compress", "log_eps")
 _MFCC_HASH_FIELDS = ("sample_rate_hz", "n", "n_coeffs", "win_ms", "hop_ms",
                      "mfcc_n_fft", "n_mels", "fmin_hz", "fmax_hz")
+# Bumped when a kind's values change while its fields stay: since definition
+# 2, f-scatnet frequency-scatters the linear order-1 frames.
+_DEFINITIONS = {"f-scatnet": 2}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat bag of protocol parameters; round-trips through key=value text
-    or JSON. SVM grid entries are lists; gamma scales are divided by the
-    feature dimension at evaluation time.
+    """Every protocol parameter; round-trips through key=value text or JSON.
 
-    Unlike ScatteringConfig, a run log-compresses each scattering frame by
-    default (ln(s + log_eps) before pooling), as Anden & Mallat, "Deep
-    Scattering Spectrum" (IEEE TSP 2014) classify log scattering
-    coefficients. Linear coefficients fail on an unseen speaker: bins that
-    the training speakers leave almost empty get a tiny standardizer std,
-    so the held-out speaker's energy there yields huge z-scores and the RBF
-    kernel to every support vector vanishes."""
+    q1/q2 are wavelets per octave of the first/second scattering bank, t the
+    averaging scale in samples, n the fixed signal length, f_wavelet_len
+    the averaging-scale analogue (in log-frequency bins) of the bank used
+    for frequency scattering, and log_eps the offset of the log taken
+    before pooling (see features.extract_vector). The MFCC fields are in
+    milliseconds and Hz at SAMPLE_RATE_HZ. SVM grid entries are lists;
+    gamma scales are divided by the feature dimension at evaluation time.
+    """
+
+    sample_rate_hz = SAMPLE_RATE_HZ  # not a field: input is resampled to it
 
     feature_kind: str = "scatnet"
-    sample_rate_hz: int = SAMPLE_RATE_HZ
     # scattering
     q1: int = 5
     q2: int = 1
     t: int = 16384
     n: int = 51000
     f_wavelet_len: int = 32
-    log_compress: bool = True
     log_eps: float = 1e-7
     # mfcc
     n_coeffs: int = 13
@@ -56,17 +62,31 @@ class RunConfig:
     svm_c: tuple = (0.1, 1.0, 10.0, 100.0)
     svm_gamma_scale: tuple = (0.1, 1.0, 10.0)
 
-    def scattering_config(self) -> ScatteringConfig:
-        return ScatteringConfig(q1=self.q1, q2=self.q2, t=self.t, n=self.n,
-                                f_wavelet_len=self.f_wavelet_len,
-                                log_compress=self.log_compress,
-                                log_eps=self.log_eps)
+    @property
+    def n_fft(self) -> int:
+        return next_pow2(self.n)
 
-    def mfcc_config(self) -> MfccConfig:
-        return MfccConfig(n_coeffs=self.n_coeffs, win_ms=self.win_ms,
-                          hop_ms=self.hop_ms, n_fft=self.mfcc_n_fft,
-                          n_mels=self.n_mels, fmin_hz=self.fmin_hz,
-                          fmax_hz=self.fmax_hz)
+    @property
+    def hop(self) -> int:
+        return self.t // 2
+
+    @property
+    def win_samples(self) -> int:
+        return int(round(self.win_ms * SAMPLE_RATE_HZ / 1000.0))
+
+    @property
+    def hop_samples(self) -> int:
+        return int(round(self.hop_ms * SAMPLE_RATE_HZ / 1000.0))
+
+    def validate(self) -> None:
+        if self.n < 1:
+            raise InvalidSpecError("n must be positive")
+        if self.log_eps <= 0:
+            raise InvalidSpecError("log_eps must be positive")
+        if self.n_coeffs > self.n_mels:
+            raise InvalidSpecError("n_coeffs must not exceed n_mels")
+        if self.win_samples > self.mfcc_n_fft:
+            raise InvalidSpecError("window longer than mfcc_n_fft")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -75,30 +95,28 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _parse_value(name: str, raw):
     if isinstance(raw, str):
         raw = raw.strip()
+    if name in _RETIRED:
+        if str(raw).lower() != str(_RETIRED[name]).lower():
+            raise ScatFeatError(f"config key {name!r}: only {_RETIRED[name]} is "
+                                f"supported, got {raw!r}")
+        return _RETIRED[name]
     kind = _FIELD_TYPES.get(name)
     if kind is None:
         raise ScatFeatError(f"unknown config key {name!r}")
-    if kind == "tuple":
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(v) for v in raw)
-        return tuple(float(v) for v in str(raw).split(",") if v.strip())
-    if kind == "bool":
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("true", "1", "yes", "on"):
-            return True
-        if str(raw).lower() in ("false", "0", "no", "off"):
-            return False
-        raise ScatFeatError(f"bad boolean for {name}: {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+    try:
+        if kind == "tuple":
+            items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+            return tuple(float(v) for v in items if str(v).strip())
+        if kind == "int" and isinstance(raw, (bool, float)):
+            raise ValueError  # int() would truncate 8.7 and take true as 1
+        return {"int": int, "float": float, "str": str}[kind](raw)
+    except (TypeError, ValueError):
+        raise ScatFeatError(f"config key {name!r}: not a valid {kind}: {raw!r}") from None
 
 
 def config_from_text(text: str) -> RunConfig:
-    """Parse either a JSON object or flat key=value lines (# comments)."""
+    """Parse either a JSON object or flat key=value lines (# comments).
+    Retired keys are checked, then dropped."""
     text = text.strip()
     values = {}
     if text.startswith("{"):
@@ -113,7 +131,7 @@ def config_from_text(text: str) -> RunConfig:
                 raise ScatFeatError(f"config line {lineno}: expected key=value")
             key, _, val = line.partition("=")
             values[key.strip()] = _parse_value(key.strip(), val)
-    return RunConfig(**values)
+    return RunConfig(**{k: v for k, v in values.items() if k not in _RETIRED})
 
 
 def load_config(path) -> RunConfig:
@@ -142,10 +160,12 @@ def feature_config_hash(cfg: RunConfig, feature_kind: str) -> str:
     if feature_kind not in FEATURE_KINDS:
         raise ScatFeatError(f"unknown feature kind {feature_kind!r}")
     names = _MFCC_HASH_FIELDS if feature_kind == "mfcc" else _SCAT_HASH_FIELDS
-    values = asdict(cfg)
+    values = {**_RETIRED, **asdict(cfg)}
     parts = [f"kind={feature_kind}"]
     for name in names:
         val = values[name]
         parts.append(f"{name}={val:.17g}" if isinstance(val, float) else f"{name}={val}")
+    if feature_kind in _DEFINITIONS:
+        parts.append(f"definition={_DEFINITIONS[feature_kind]}")
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     return digest[:12]

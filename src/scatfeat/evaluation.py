@@ -245,13 +245,11 @@ class SweepRow:
 def param_sweep(manifest: list[ManifestRow], q_values, t_values,
                 run_cfg, n_workers: int | None = None) -> list[SweepRow]:
     """run_experiment on scatnet features for every (q, t) cell."""
-    from .scattering import next_pow2
-
     out = []
     for t in t_values:
-        if t & (t - 1) or t > next_pow2(run_cfg.n):
+        if t & (t - 1) or t > run_cfg.n_fft:
             raise ScatFeatError(
-                f"t={t} must be a power of two <= next_pow2(n)={next_pow2(run_cfg.n)}")
+                f"t={t} must be a power of two <= next_pow2(n)={run_cfg.n_fft}")
     for q in q_values:
         for t in t_values:
             cfg = replace(run_cfg, q1=int(q), t=int(t))

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .audio_io import Waveform, fix_length, load_wav, resample
+from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, load_wav, resample
 from .config import FEATURE_KINDS, RunConfig, feature_config_hash
 from .errors import ScatFeatError
 from .evaluation import FeatureRow, ManifestRow
@@ -19,31 +19,35 @@ from .scattering import frequency_scattering, time_scattering
 FORMAT_TAG = "SCATFEAT v1"
 
 
-def default_workers() -> int:
-    env = os.environ.get("SCATFEAT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     """Utterance-level feature vector of the requested kind.
 
-    The waveform is resampled to cfg.sample_rate_hz when needed; every kind
-    operates on exactly cfg.n samples. The layer subsets are slices of the
-    scatnet vector: scat-layer1 keeps orders 0 and 1, scat-layer2 order 2.
+    The waveform is resampled to SAMPLE_RATE_HZ when needed; every kind
+    operates on exactly cfg.n samples. A scattering vector is the row mean
+    of ln(frames + cfg.log_eps): the log is taken once, here, on every row
+    of the linear frames, frequency-scattering rows included. The layer
+    subsets are slices of the scatnet vector: scat-layer1 keeps orders 0
+    and 1, scat-layer2 order 2.
+
+    Classifying log coefficients follows Anden & Mallat, "Deep Scattering
+    Spectrum" (IEEE TSP 2014). Linear coefficients fail on an unseen
+    speaker: bins that the training speakers leave almost empty get a tiny
+    standardizer std, so the held-out speaker's energy there yields huge
+    z-scores and the RBF kernel to every support vector vanishes. Frequency
+    scattering runs before the log for the same reason: run on log order-1
+    frames, its rows had such dimensions (held-out |z| above 100), and
+    f-scatnet fell to chance.
     """
     if kind not in FEATURE_KINDS:
         raise ScatFeatError(f"unknown feature kind {kind!r}")
-    w = resample(w, cfg.sample_rate_hz)
+    w = resample(w, SAMPLE_RATE_HZ)
     if kind == "mfcc":
-        return mfcc_utterance(fix_length(w, cfg.n), cfg.mfcc_config())
-    scfg = cfg.scattering_config()
-    features = time_scattering(w, scfg)
+        return mfcc_utterance(fix_length(w, cfg.n), cfg)
+    features = time_scattering(w, cfg)
     if kind == "f-scatnet":
-        features = frequency_scattering(features, scfg)
-    vector = features.utterance_vector
-    n_low = 1 + len(cached_bank(scfg.q1, scfg.t, scfg.n_fft).filters)
+        features = frequency_scattering(features, cfg)
+    vector = np.log(features.frames + cfg.log_eps).mean(axis=1)
+    n_low = 1 + len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).filters)
     return {"scat-layer1": vector[:n_low], "scat-layer2": vector[n_low:]}.get(kind, vector)
 
 
@@ -55,7 +59,7 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     list of (utterance_id, message) for rows that failed.
     """
     if n_workers is None:
-        n_workers = default_workers()
+        n_workers = os.cpu_count() or 1
 
     def one(row: ManifestRow):
         vec = extract_vector(kind, load_wav(row.path), cfg)
@@ -82,12 +86,13 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
     if not rows:
         raise ScatFeatError("no feature rows to write")
     dim = rows[0].vector.shape[0]
+    for r in rows:  # before the file is opened, so no partial file is left
+        if r.vector.shape[0] != dim:
+            raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
     with open(path, "w", newline="") as fh:
         fh.write(f"#{FORMAT_TAG} kind={kind} dim={dim} config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         for r in rows:
-            if r.vector.shape[0] != dim:
-                raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
             writer.writerow([r.utterance_id, r.speaker_id, r.label,
                              *(f"{v:.17g}" for v in r.vector)])
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .audio_io import SAMPLE_RATE_HZ
 from .errors import InvalidSpecError
 
 _LN2 = float(np.log(2.0))
@@ -264,10 +265,11 @@ def littlewood_paley_bounds(bank: FilterBank) -> dict:
     return {"min": float(lp[band].min()), "max": float(lp.max())}
 
 
-def bank_to_csv_rows(bank: FilterBank, sample_rate_hz: int) -> list[str]:
-    """CSV dump rows: index,center_freq_hz,bandwidth_hz,region(geo|lin)."""
+def bank_to_csv_rows(bank: FilterBank) -> list[str]:
+    """CSV dump rows: index,center_freq_hz,bandwidth_hz,region(geo|lin),
+    frequencies at SAMPLE_RATE_HZ."""
     rows = ["index,center_freq_hz,bandwidth_hz,region"]
     for i, f in enumerate(bank.filters):
-        rows.append(f"{i},{f.center_freq_normalized * sample_rate_hz:.6f},"
-                    f"{f.bandwidth * sample_rate_hz:.6f},{f.region}")
+        rows.append(f"{i},{f.center_freq_normalized * SAMPLE_RATE_HZ:.6f},"
+                    f"{f.bandwidth * SAMPLE_RATE_HZ:.6f},{f.region}")
     return rows

@@ -11,6 +11,10 @@ A second-layer path is admissible when the l2 center frequency lies strictly
 below the l1 filter's bandwidth; the envelope |x * psi_l1| carries no energy
 above that bandwidth, so higher l2 paths are omitted rather than zero-filled.
 
+The frames are linear coefficients: the transform is non-expansive and
+stable to deformations, and no log is taken here. Feature extraction takes
+the one log, just before pooling (features.extract_vector).
+
 Both layers are exact at full resolution, computed without full-length work
 where the filters allow it. Each wavelet modulus multiplies one FFT of its
 input by the filter's response and inverts only the filter's band: a band
@@ -31,9 +35,9 @@ Every kind is a view of one (paths_order, frames) pair: frames is an
 (n_paths, n_frames) matrix whose row k holds the frames of path
 paths_order[k]. time_scattering fills rows for order 0, then order 1
 (ascending lambda1), then order 2 (lexicographic (lambda1, lambda2));
-frequency_scattering appends its rows below them. The utterance vector is
-the row mean, so the layer-wise vectors are slices of the full one: orders
-0 and 1 are its first 1 + n_order1 entries, order 2 the rest.
+frequency_scattering appends its rows below them. Pooling is a row mean,
+so the layer-wise vectors are slices of the full one: orders 0 and 1 are
+its first 1 + n_order1 entries, order 2 the rest.
 """
 
 from __future__ import annotations
@@ -44,51 +48,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, pad_or_crop_center
+from .audio_io import (SAMPLE_RATE_HZ, Waveform, fix_length, next_pow2,
+                       pad_or_crop_center)
+from .config import RunConfig
 from .errors import (AxisTooShortError, InvalidSpecError, LengthMismatchError,
                      SampleRateError)
 from .filterbank import FilterBank, cached_bank
-
-
-def next_pow2(n: int) -> int:
-    return 1 << max(int(n) - 1, 0).bit_length()
-
-
-@dataclass(frozen=True)
-class ScatteringConfig:
-    """Parameters of the two-layer decomposition.
-
-    q1/q2 are wavelets per octave of the first/second bank, t the averaging
-    scale in samples, n the fixed signal length. f_wavelet_len is the
-    averaging-scale analogue (in log-frequency bins) of the bank used for
-    frequency scattering. log_compress applies ln(s + log_eps) to every
-    coefficient before pooling. The transform itself stays linear by
-    default, since non-expansiveness and deformation stability are
-    properties of the linear coefficients; RunConfig turns the log on for
-    classification runs.
-    """
-
-    q1: int = 5
-    q2: int = 1
-    t: int = 16384
-    n: int = 51000
-    f_wavelet_len: int = 32
-    log_compress: bool = False
-    log_eps: float = 1e-7
-
-    @property
-    def n_fft(self) -> int:
-        return next_pow2(self.n)
-
-    @property
-    def hop(self) -> int:
-        return self.t // 2
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise InvalidSpecError("n must be positive")
-        if self.log_eps <= 0:
-            raise InvalidSpecError("log_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -215,8 +180,8 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     return np.maximum(frames, 0.0)
 
 
-def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
-    """Order-0/1/2 scattering frames.
+def time_scattering(w: Waveform, cfg: RunConfig) -> ScatteringFeatures:
+    """Order-0/1/2 scattering frames, linear.
 
     The waveform is forced to cfg.n samples (center crop / symmetric pad),
     then symmetrically zero-padded to n_fft = next_pow2(n) for circular FFT
@@ -248,23 +213,19 @@ def time_scattering(w: Waveform, cfg: ScatteringConfig) -> ScatteringFeatures:
         blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
         paths += [ScatteringPath(2, i1, i2) for i2 in range(first, n2)]
 
-    frames = np.concatenate(blocks)
-    if cfg.log_compress:
-        frames = np.log(frames + cfg.log_eps)
-    return ScatteringFeatures(tuple(paths), frames)
+    return ScatteringFeatures(tuple(paths), np.concatenate(blocks))
 
 
 def frequency_scattering(s_time: ScatteringFeatures,
-                         cfg: ScatteringConfig) -> ScatteringFeatures:
+                         cfg: RunConfig) -> ScatteringFeatures:
     """Append wavelet-modulus coefficients computed along the log-frequency
     axis of the order-1 frames.
 
     For each time frame, the order-1 coefficients on geometric-region bins
     form a 1-D signal over log-lambda; a q=1 Morlet bank with averaging scale
     cfg.f_wavelet_len decomposes it. The moduli are kept unaveraged and
-    appended after the time-scattering rows, wavelet-major. With
-    cfg.log_compress set (the RunConfig default) the order-1 frames are
-    already log-compressed, so the decomposition runs on log order-1 frames.
+    appended after the time-scattering rows, wavelet-major. It runs on the
+    linear order-1 frames that time_scattering returns.
     """
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     geo = bank1.geometric_indices()

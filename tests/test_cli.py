@@ -47,6 +47,22 @@ class TestExtract:
                          "--out", str(out), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("line", ["log_compress=false", "sample_rate_hz=22050"])
+    def test_retired_config_value_exits_2(self, mini_corpus, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "feat.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert f"config key '{line.split('=')[0]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_default_ignores_environment(self, mini_corpus, cfg_file,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv("SCATFEAT_THREADS", "abc")
+        assert main(["extract", "--manifest", str(mini_corpus), "--feature", "mfcc",
+                     "--config", str(cfg_file), "--out", str(tmp_path / "f.csv")]) == 0
+
     def test_missing_wav_exits_2(self, mini_corpus, cfg_file, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
         content = mini_corpus.read_text().splitlines()

@@ -20,6 +20,32 @@ from conftest import FS, bandlimited_noise
 # Laptop-speed configuration for exercising the extraction pipeline.
 SMALL = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
 
+# config_to_text(RunConfig()) as written before sample_rate_hz and
+# log_compress were retired, with the hashes it gave then (f-scatnet's
+# before its definition changed: 1fa157240af0).
+RETIRED_DEFAULT_TEXT = """f_wavelet_len=32
+feature_kind=scatnet
+fmax_hz=8000
+fmin_hz=0
+hop_ms=10
+log_compress=True
+log_eps=9.9999999999999995e-08
+mfcc_n_fft=512
+n=51000
+n_coeffs=13
+n_mels=26
+q1=5
+q2=1
+sample_rate_hz=16000
+svm_c=0.10000000000000001,1,10,100
+svm_gamma_scale=0.10000000000000001,1,10
+t=16384
+win_ms=20
+"""
+DEFAULT_HASHES = {"scatnet": "5f7a6014855e", "scat-layer1": "a2f95372f372",
+                  "scat-layer2": "1682967b423f", "mfcc": "9c90fb8aa0a4",
+                  "f-scatnet": "27184c3cd638"}
+
 
 def load_reference():
     """scatbench/reference.py: full-resolution scattering written from the
@@ -39,14 +65,36 @@ class TestConfig:
 
     def test_json_form(self):
         cfg = config_from_text('{"q1": 8, "t": 4096, "log_compress": true}')
-        assert cfg.q1 == 8 and cfg.t == 4096 and cfg.log_compress is True
+        assert cfg == RunConfig(q1=8, t=4096)
 
     def test_key_value_form(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nq1=4\nsvm_c=1,10\nlog_compress=false\n")
+        path.write_text("# comment\nq1=4\nsvm_c=1,10\nsample_rate_hz=16000\n")
         cfg = load_config(path)
-        assert cfg.q1 == 4 and cfg.svm_c == (1.0, 10.0)
-        assert cfg.log_compress is False
+        assert cfg == RunConfig(q1=4, svm_c=(1.0, 10.0))
+
+    def test_retired_keys_load_at_their_one_value(self):
+        cfg = config_from_text(RETIRED_DEFAULT_TEXT)
+        assert cfg == RunConfig() and cfg.sample_rate_hz == 16000
+        assert {k: feature_config_hash(cfg, k) for k in DEFAULT_HASHES} == DEFAULT_HASHES
+
+    @pytest.mark.parametrize("text, key", [
+        ("log_compress=false\n", "log_compress"),
+        ("sample_rate_hz=22050\n", "sample_rate_hz"),
+        ('{"log_compress": false}', "log_compress"),
+        ('{"sample_rate_hz": 44100}', "sample_rate_hz"),
+    ])
+    def test_retired_keys_reject_other_values(self, text, key):
+        with pytest.raises(ScatFeatError, match=key):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"q1": 8.7}', "q1"), ('{"q2": true}', "q2"), ('{"n": "many"}', "n"),
+        ("q1=8.7\n", "q1"), ("t=\n", "t"),
+    ])
+    def test_integer_fields_reject_non_integers(self, text, key):
+        with pytest.raises(ScatFeatError, match=f"config key '{key}'"):
+            config_from_text(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScatFeatError):
@@ -58,10 +106,7 @@ class TestConfig:
         assert a != feature_config_hash(SMALL, "mfcc")
         assert a != feature_config_hash(RunConfig(q1=4, t=1024, n=4096,
                                                   f_wavelet_len=8), "scatnet")
-        assert a != feature_config_hash(
-            replace(SMALL, log_compress=not SMALL.log_compress), "scatnet")
-        # Runs classify log-compressed frames unless configured otherwise.
-        assert RunConfig().log_compress is True
+        assert a != feature_config_hash(replace(SMALL, log_eps=1e-6), "scatnet")
 
     def test_hash_ignores_svm_grid(self):
         other = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8,
@@ -93,7 +138,7 @@ class TestExtractVector:
     def test_scatnet_matches_reference(self, rng):
         ref = load_reference()
         w = Waveform(bandlimited_noise(rng, 5000), FS)  # cropped to n=4096
-        n_fft = SMALL.scattering_config().n_fft
+        n_fft = SMALL.n_fft
         expect = ref.scatnet_reference(w.samples, SMALL.n, SMALL.t,
                                        cached_bank(SMALL.q1, SMALL.t, n_fft),
                                        cached_bank(SMALL.q2, SMALL.t, n_fft),
@@ -128,6 +173,14 @@ class TestFeatureFile:
         assert [r.utterance_id for r in back] == ["u0", "u1", "u2"]
         for a, b in zip(rows, back):
             assert np.array_equal(a.vector, b.vector)  # 17g is round-trip exact
+
+    def test_dimension_mismatch_writes_nothing(self, tmp_path, rng):
+        rows = self.rows(rng, n=2) + [FeatureRow("u9", "s1", "lab",
+                                                 rng.standard_normal(4))]
+        path = tmp_path / "f.csv"
+        with pytest.raises(ScatFeatError, match="u9: dim 4 != 5"):
+            write_feature_file(path, "mfcc", rows, "abc123")
+        assert not path.exists()
 
     def test_rewrite_byte_identical(self, tmp_path, rng):
         rows = self.rows(rng)

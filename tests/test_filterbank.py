@@ -154,7 +154,7 @@ class TestLittlewoodPaley:
 class TestCsvDump:
     def test_rows(self):
         bank = build_morlet_bank(FilterBankSpec(3, 1024, 4096))
-        rows = bank_to_csv_rows(bank, 16000)
+        rows = bank_to_csv_rows(bank)
         assert rows[0] == "index,center_freq_hz,bandwidth_hz,region"
         assert len(rows) == len(bank.filters) + 1
         first = rows[1].split(",")

@@ -2,32 +2,32 @@ import numpy as np
 import pytest
 
 from scatfeat.audio_io import Waveform
+from scatfeat.config import RunConfig
 from scatfeat.errors import SignalTooShortError, TooFewFramesError
-from scatfeat.mfcc import (MfccConfig, mel_filterbank, mfcc_frames, mfcc_stats,
-                           mfcc_utterance)
+from scatfeat.mfcc import mel_filterbank, mfcc_frames, mfcc_stats, mfcc_utterance
 
 from conftest import FS, reference_mfcc
 
-CFG = MfccConfig()
+CFG = RunConfig()
 
 
 class TestMelFilterbank:
     def test_rows_all_nonempty(self):
-        bank = mel_filterbank(CFG, FS)
+        bank = mel_filterbank(CFG)
         assert bank.shape == (26, 257)
         assert np.all(bank.sum(axis=1) > 0)
 
     def test_peaks_strictly_increasing(self):
-        bank = mel_filterbank(CFG, FS)
+        bank = mel_filterbank(CFG)
         peaks = bank.argmax(axis=1)
         assert np.all(np.diff(peaks) > 0)
 
     def test_dc_bin_zero(self):
-        bank = mel_filterbank(CFG, FS)
+        bank = mel_filterbank(CFG)
         assert bank[0, 0] == 0.0
 
     def test_peak_normalized(self):
-        bank = mel_filterbank(CFG, FS)
+        bank = mel_filterbank(CFG)
         assert np.all(bank.max(axis=1) <= 1.0)
         assert np.all(bank.max(axis=1) > 0.8)
 

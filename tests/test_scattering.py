@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +10,18 @@ from scatfeat.audio_io import Waveform, fix_length, pad_or_crop_center
 from scatfeat.config import RunConfig
 from scatfeat.errors import (AxisTooShortError, InvalidSpecError,
                              LengthMismatchError, SampleRateError)
+from scatfeat.features import extract_vector
 from scatfeat.filterbank import cached_bank
-from scatfeat.scattering import (FrequencyScatteringPath, ScatteringConfig,
-                                 ScatteringFeatures, ScatteringPath,
-                                 frequency_scattering, lowpass_average,
-                                 next_pow2, time_scattering, wavelet_modulus)
+from scatfeat.scattering import (FrequencyScatteringPath, ScatteringFeatures,
+                                 ScatteringPath, frequency_scattering,
+                                 lowpass_average, next_pow2, time_scattering,
+                                 wavelet_modulus)
 
 from conftest import FS, bandlimited_noise
 
 # Small, fast configuration shared across this module; n == n_fft so circular
 # shifts of the input are true circular shifts of the transform input.
-CFG = ScatteringConfig(q1=3, q2=1, t=1024, n=4096)
+CFG = RunConfig(q1=3, q2=1, t=1024, n=4096)
 N_FFT = CFG.n_fft
 BANK1 = cached_bank(CFG.q1, CFG.t, N_FFT)
 BANK2 = cached_bank(CFG.q2, CFG.t, N_FFT)
@@ -62,10 +64,7 @@ def reference_time_scattering(w, cfg):
                               axis=1))
         blocks.append(reference_lowpass_average(u2, bank1.lowpass, cfg.hop))
         paths += [ScatteringPath(2, i1, int(i2)) for i2 in admissible]
-    frames = np.concatenate(blocks)
-    if cfg.log_compress:
-        frames = np.log(frames + cfg.log_eps)
-    return tuple(paths), frames
+    return tuple(paths), np.concatenate(blocks)
 
 
 def assert_rows_close(got, want, rel=1e-12):
@@ -273,17 +272,20 @@ class TestTimeScattering:
         assert np.allclose(feats.utterance_vector, ref.utterance_vector)
 
     def test_log_compress(self, rng):
-        x = bandlimited_noise(rng, CFG.n, peak=0.4)
-        from dataclasses import replace
-        raw = time_scattering(Waveform(x, FS), CFG)
-        logged = time_scattering(Waveform(x, FS), replace(CFG, log_compress=True))
-        expect = np.log(raw.frames + CFG.log_eps)
-        assert np.allclose(logged.frames, expect, atol=1e-12)
+        """The frames are linear; extract_vector takes one log of every row,
+        frequency-scattering rows included, then pools."""
+        cfg = replace(CFG, f_wavelet_len=8)
+        w = Waveform(bandlimited_noise(rng, CFG.n, peak=0.4), FS)
+        feats = time_scattering(w, cfg)
+        for kind, frames in (("scatnet", feats.frames),
+                             ("f-scatnet", frequency_scattering(feats, cfg).frames)):
+            want = np.log(frames + cfg.log_eps).mean(axis=1)
+            assert np.array_equal(extract_vector(kind, w, cfg), want)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidSpecError):
             time_scattering(Waveform(np.zeros(100), FS),
-                            ScatteringConfig(t=8192, n=100))
+                            RunConfig(t=8192, n=100))
 
 
 def oracle_signal(kind, cfg):
@@ -302,25 +304,29 @@ def oracle_signal(kind, cfg):
 
 
 class TestFullLengthOracle:
-    """time_scattering against the kept full-length transform, on the
-    classification default and the linear transform."""
+    """time_scattering against the kept full-length transform at the
+    default config, on the linear frames and on the log frames that
+    extract_vector pools."""
 
     @pytest.mark.parametrize("kind", ["zero", "impulse", "band-edge-sine",
                                       "noise-1", "noise-2"])
-    @pytest.mark.parametrize("cfg", [RunConfig().scattering_config(), ScatteringConfig()],
-                             ids=["run-default", "linear"])
-    def test_matches(self, cfg, kind):
+    @pytest.mark.parametrize("log", [True, False], ids=["run-default", "linear"])
+    def test_matches(self, log, kind):
+        cfg = RunConfig()
         w = Waveform(oracle_signal(kind, cfg), FS)
-        paths, frames = reference_time_scattering(w, cfg)
+        paths, want = reference_time_scattering(w, cfg)
         feats = time_scattering(w, cfg)
         assert feats.paths_order == paths
-        assert_rows_close(feats.frames, frames)
+        got = feats.frames
+        if log:
+            got, want = np.log(got + cfg.log_eps), np.log(want + cfg.log_eps)
+        assert_rows_close(got, want)
 
     def test_matches_at_many_frames(self):
         """t = 512 gives 256 frames per path. Linear frames: at this t,
         frames over the zero padding are near 0, where the log scales
         rounding by 1 / log_eps."""
-        cfg = ScatteringConfig(q1=2, t=512)
+        cfg = RunConfig(q1=2, t=512)
         w = Waveform(oracle_signal("noise-1", cfg), FS)
         paths, frames = reference_time_scattering(w, cfg)
         feats = time_scattering(w, cfg)
@@ -348,7 +354,7 @@ class TestFullLengthOracle:
 
 
 class TestFrequencyScattering:
-    FCFG = ScatteringConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
+    FCFG = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
 
     def test_constant_s1_gives_zero(self):
         n_geo = len(BANK1.geometric_indices())
@@ -377,7 +383,7 @@ class TestFrequencyScattering:
     def test_transposition_covariance(self):
         # One octave up moves the order-1 pattern by q1 geometric bins;
         # unaveraged moduli should follow within 10% on interior bins.
-        cfg = ScatteringConfig(q1=5, q2=1, t=4096, n=16000, f_wavelet_len=16)
+        cfg = RunConfig(q1=5, q2=1, t=4096, n=16000, f_wavelet_len=16)
         n = np.arange(16000)
         wa = Waveform(0.5 * np.cos(2 * np.pi * (500.0 / FS) * n), FS)
         wb = Waveform(0.5 * np.cos(2 * np.pi * (1000.0 / FS) * n), FS)
@@ -402,7 +408,7 @@ class TestFrequencyScattering:
 
     def test_axis_too_short(self):
         feats = ScatteringFeatures((ScatteringPath(1, 0),), np.ones((1, 4)))
-        tiny = ScatteringConfig(q1=1, q2=1, t=4, n=8, f_wavelet_len=2)
+        tiny = RunConfig(q1=1, q2=1, t=4, n=8, f_wavelet_len=2)
         with pytest.raises(AxisTooShortError):
             frequency_scattering(feats, tiny)
 
