@@ -17,8 +17,7 @@ from .filterbank import (BandpassFilter, FilterBank, FilterBankSpec,
                          build_morlet_bank, littlewood_paley_bounds,
                          littlewood_paley_sum)
 from .mfcc import mel_filterbank, mfcc_frames, mfcc_stats
-from .scattering import (FrequencyScatteringPath, ScatteringFeatures,
-                         ScatteringPath, frequency_scattering,
-                         lowpass_average, time_scattering, wavelet_modulus)
+from .scattering import (frequency_scattering, lowpass_average,
+                         scattering_paths, time_scattering, wavelet_modulus)
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateClassError, DimensionMismatchError,
-                     TooFewRowsError)
+                     InvalidSvmParamError, TooFewRowsError)
 
 # The solver iterates well past the contract so the decision function is
 # insensitive (within ~1e-6) to the training sample order.
@@ -148,6 +148,15 @@ class SvmModel:
                 for m in self.pairs if not m.converged]
 
 
+def _svm_axis(name: str, values) -> list[float]:
+    """The values sorted ascending. An empty axis trains nothing, and each
+    value must be a finite number > 0 (at C = 0 the bias is NaN)."""
+    values = sorted(float(v) for v in values)
+    if not values or not all(0.0 < v < np.inf for v in values):
+        raise InvalidSvmParamError(f"SVM {name} needs finite values > 0, got {values}")
+    return values
+
+
 def svm_train(x: np.ndarray, y, c: float, gamma: float,
               standardizer: Standardizer | None = None) -> SvmModel:
     """Train one-vs-one binary machines on (already standardized) features.
@@ -155,6 +164,8 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     The standardizer that produced x travels with the model so that
     svm_predict can be fed raw features. Passing None stores an identity.
     """
+    _svm_axis("C", [c])
+    _svm_axis("gamma", [gamma])
     x = np.asarray(x, dtype=np.float64)
     return _train_on_kernel(x, y, rbf_kernel(x, x, gamma), c, gamma, standardizer)
 
@@ -239,10 +250,12 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     statistics. Every cell trains on all of train, so the winning cell's
     model is the final one; it carries an identity standardizer, so feed
     it rows standardized like train. Ties prefer smaller c, then smaller
-    gamma.
+    gamma. An empty axis, or a value that is not a finite number > 0, is an
+    InvalidSvmParamError.
     """
     from .evaluation import confusion, uar  # metric lives with the harness
 
+    c_values, gamma_values = _svm_axis("C", c_values), _svm_axis("gamma", gamma_values)
     x_train, y_train = train
     x_train = np.asarray(x_train, dtype=np.float64)
     x_valid, y_valid = valid
@@ -251,8 +264,8 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     # exactly what svm_train's rbf_kernel(x_train, x_train, gamma) computes
     sq = sq_distances(x_train, x_train)
     best = None
-    for c in sorted(float(v) for v in c_values):
-        for gamma in sorted(float(v) for v in gamma_values):
+    for c in c_values:
+        for gamma in gamma_values:
             model = _train_on_kernel(x_train, y_train, np.exp(-gamma * sq), c, gamma)
             pred = svm_predict(model, np.atleast_2d(x_valid))
             score = uar(confusion(list(y_valid), list(pred), classes))

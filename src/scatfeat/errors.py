@@ -45,6 +45,10 @@ class DegenerateClassError(ScatFeatError):
     """A class pair cannot be trained (missing samples or single class)."""
 
 
+class InvalidSvmParamError(ScatFeatError):
+    """SVM C or gamma is not a finite number > 0, or a grid axis is empty."""
+
+
 class DimensionMismatchError(ScatFeatError):
     """Feature dimension differs from what the model was trained on."""
 

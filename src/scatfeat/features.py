@@ -43,10 +43,10 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     w = resample(w, SAMPLE_RATE_HZ)
     if kind == "mfcc":
         return mfcc_utterance(fix_length(w, cfg.n), cfg)
-    features = time_scattering(w, cfg)
+    frames = time_scattering(w, cfg)
     if kind == "f-scatnet":
-        features = frequency_scattering(features, cfg)
-    vector = np.log(features.frames + cfg.log_eps).mean(axis=1)
+        frames = frequency_scattering(frames, cfg)
+    vector = np.log(frames + cfg.log_eps).mean(axis=1)
     n_low = 1 + len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).filters)
     return {"scat-layer1": vector[:n_low], "scat-layer2": vector[n_low:]}.get(kind, vector)
 
@@ -89,6 +89,8 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
     for r in rows:  # before the file is opened, so no partial file is left
         if r.vector.shape[0] != dim:
             raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
+        if not np.isfinite(r.vector).all():  # read_feature_file rejects them
+            raise ScatFeatError(f"{r.utterance_id}: non-finite value")
     with open(path, "w", newline="") as fh:
         fh.write(f"#{FORMAT_TAG} kind={kind} dim={dim} config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -108,6 +110,8 @@ def read_feature_file(path):
             kind, dim, config_hash = meta["kind"], int(meta["dim"]), meta["config_hash"]
         except (KeyError, ValueError):
             raise ScatFeatError(f"{path}: malformed header {header!r}") from None
+        if dim < 1:
+            raise ScatFeatError(f"{path}:1: dim must be at least 1, got {dim}")
         rows = []
         reader = csv.reader(fh)  # the header line is already consumed
         for parts in reader:
@@ -120,6 +124,9 @@ def read_feature_file(path):
                 vec = np.array(parts[3:], dtype=np.float64)
             except ValueError as exc:
                 raise ScatFeatError(f"{path}:{reader.line_num + 1}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise ScatFeatError(f"{path}:{reader.line_num + 1}: non-finite value "
+                                    f"{parts[3 + np.argmin(np.isfinite(vec))]!r}")
             rows.append(FeatureRow(parts[0], parts[1], parts[2], vec))
     if not rows:
         raise ScatFeatError(f"{path}: no feature rows")

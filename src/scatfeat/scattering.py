@@ -9,7 +9,8 @@ Gaussian low-pass at scale t, sampled every t/2 samples:
 
 A second-layer path is admissible when the l2 center frequency lies strictly
 below the l1 filter's bandwidth; the envelope |x * psi_l1| carries no energy
-above that bandwidth, so higher l2 paths are omitted rather than zero-filled.
+above that bandwidth, so higher l2 paths are omitted rather than zero-filled
+(_first_admissible states the rule).
 
 The frames are linear coefficients: the transform is non-expansive and
 stable to deformations, and no log is taken here. Feature extraction takes
@@ -31,18 +32,17 @@ log-frequency axis of the order-1 coefficients (geometric-region bins only,
 which are the uniformly log-spaced ones). Per protocol those outputs are not
 low-pass averaged along the axis; the classifier supplies the invariance.
 
-Every kind is a view of one (paths_order, frames) pair: frames is an
-(n_paths, n_frames) matrix whose row k holds the frames of path
-paths_order[k]. time_scattering fills rows for order 0, then order 1
-(ascending lambda1), then order 2 (lexicographic (lambda1, lambda2));
-frequency_scattering appends its rows below them. Pooling is a row mean,
-so the layer-wise vectors are slices of the full one: orders 0 and 1 are
-its first 1 + n_order1 entries, order 2 the rest.
+Every kind is a slice of one (n_paths, n_frames) matrix of frames.
+time_scattering returns its rows in the order scattering_paths(cfg) labels
+them: (0,), then (1, l1) for ascending l1, then (2, l1, l2) in
+lexicographic order. frequency_scattering appends its rows below them,
+wavelet-major. Pooling is a row mean, so the layer-wise vectors are slices
+of the full one: orders 0 and 1 are its first 1 + n_order1 entries, order 2
+the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,41 +54,6 @@ from .config import RunConfig
 from .errors import (AxisTooShortError, InvalidSpecError, LengthMismatchError,
                      SampleRateError)
 from .filterbank import FilterBank, cached_bank
-
-
-@dataclass(frozen=True)
-class ScatteringPath:
-    """Time-scattering path: order 0 has no indices, order 1 carries its
-    first-bank filter index, order 2 both indices."""
-
-    order: int
-    lambda1_index: int | None = None
-    lambda2_index: int | None = None
-
-
-@dataclass(frozen=True)
-class FrequencyScatteringPath:
-    """One frequency-scattering output: wavelet_index along the log-frequency
-    axis, lambda1_bin the position on that axis (geometric bins, ordered by
-    ascending first-bank filter index, i.e. descending center frequency)."""
-
-    wavelet_index: int
-    lambda1_bin: int
-
-
-@dataclass(frozen=True)
-class ScatteringFeatures:
-    """One utterance's scattering: row k of the (n_paths, n_frames) frames
-    matrix belongs to paths_order[k], in the order the module docstring
-    gives. Every path holds the same number of frames (hop t/2)."""
-
-    paths_order: tuple
-    frames: np.ndarray
-
-    @property
-    def utterance_vector(self) -> np.ndarray:
-        """Per-path mean over time frames."""
-        return self.frames.mean(axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -180,8 +145,30 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     return np.maximum(frames, 0.0)
 
 
-def time_scattering(w: Waveform, cfg: RunConfig) -> ScatteringFeatures:
-    """Order-0/1/2 scattering frames, linear.
+def _first_admissible(f1, bank2: FilterBank) -> int:
+    """Index of the first second-bank filter admissible under first-bank
+    filter f1: its center lies strictly below f1's bandwidth. Centers
+    descend, so the admissible filters are the suffix from there, empty
+    when it equals the bank size."""
+    return len(bank2.filters) - int(np.sum(bank2.center_freqs < f1.bandwidth))
+
+
+def scattering_paths(cfg: RunConfig) -> list[tuple]:
+    """Label of each row time_scattering returns under cfg: (0,), then
+    (1, l1) for every first-bank filter, then (2, l1, l2) for every
+    admissible pair, in that order; l1 and l2 index the two banks."""
+    bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
+    bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
+    paths = [(0,)] + [(1, i1) for i1 in range(len(bank1.filters))]
+    for i1, f1 in enumerate(bank1.filters):
+        paths += [(2, i1, i2)
+                  for i2 in range(_first_admissible(f1, bank2), len(bank2.filters))]
+    return paths
+
+
+def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
+    """Order-0/1/2 scattering frames, linear: an (n_paths, n_frames) matrix
+    whose rows scattering_paths(cfg) labels.
 
     The waveform is forced to cfg.n samples (center crop / symmetric pad),
     then symmetrically zero-padded to n_fft = next_pow2(n) for circular FFT
@@ -191,55 +178,45 @@ def time_scattering(w: Waveform, cfg: RunConfig) -> ScatteringFeatures:
         raise SampleRateError(
             f"expected {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz}")
     cfg.validate()
-    n_fft = cfg.n_fft
-    x = pad_or_crop_center(fix_length(w, cfg.n).samples, n_fft)
-    bank1 = cached_bank(cfg.q1, cfg.t, n_fft)
-    bank2 = cached_bank(cfg.q2, cfg.t, n_fft)
+    x = pad_or_crop_center(fix_length(w, cfg.n).samples, cfg.n_fft)
+    bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
+    bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
 
     u1 = wavelet_modulus(x, bank1)
-
-    paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
     blocks = [lowpass_average(x, bank1.lowpass, cfg.hop)[None, :],
               lowpass_average(u1, bank1.lowpass, cfg.hop)]
-    centers2 = bank2.center_freqs
-    n2 = len(centers2)
-    for i1, f1 in enumerate(bank1.filters):
-        # Centers descend, so the admissible filters are a suffix of the bank.
-        first = n2 - int(np.sum(centers2 < f1.bandwidth))
-        if first == n2:
-            continue
-        u2 = _moduli(sfft.fft(u1[i1]), bank2.responses[first:],
-                     bank2.supports[first:])
-        blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
-        paths += [ScatteringPath(2, i1, i2) for i2 in range(first, n2)]
-
-    return ScatteringFeatures(tuple(paths), np.concatenate(blocks))
+    for u, f1 in zip(u1, bank1.filters):
+        first = _first_admissible(f1, bank2)
+        if first < len(bank2.filters):
+            u2 = _moduli(sfft.fft(u), bank2.responses[first:], bank2.supports[first:])
+            blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
+    return np.concatenate(blocks)
 
 
-def frequency_scattering(s_time: ScatteringFeatures,
-                         cfg: RunConfig) -> ScatteringFeatures:
+def frequency_scattering(frames: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Append wavelet-modulus coefficients computed along the log-frequency
     axis of the order-1 frames.
 
-    For each time frame, the order-1 coefficients on geometric-region bins
-    form a 1-D signal over log-lambda; a q=1 Morlet bank with averaging scale
-    cfg.f_wavelet_len decomposes it. The moduli are kept unaveraged and
-    appended after the time-scattering rows, wavelet-major. It runs on the
-    linear order-1 frames that time_scattering returns.
+    frames is time_scattering's matrix. Geometric filters come first in
+    every bank, so its order-1 geometric rows are frames[1:1 + n_geo]. For
+    each time frame they form a 1-D signal over log-lambda; a q=1 Morlet
+    bank with averaging scale cfg.f_wavelet_len decomposes it. The moduli
+    are kept unaveraged and appended below frames, an (n_wavelets, n_geo)
+    block of rows in wavelet-major order. It runs on the linear frames.
     """
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
-    geo = bank1.geometric_indices()
-    if len(geo) < 2:
+    n_bins = len(bank1.geometric_indices())
+    if n_bins < 2:
         raise AxisTooShortError(
-            f"log-frequency axis has {len(geo)} bins, need at least 2")
+            f"log-frequency axis has {n_bins} bins, need at least 2")
     if cfg.f_wavelet_len > len(bank1.filters):
         raise InvalidSpecError(
             f"f_wavelet_len={cfg.f_wavelet_len} exceeds the layer-1 filter "
             f"count {len(bank1.filters)}")
+    if frames.shape[0] <= len(bank1.filters):
+        raise LengthMismatchError(f"{frames.shape[0]} rows hold no order-1 block")
 
-    n_bins = len(geo)
-    row = {p: k for k, p in enumerate(s_time.paths_order)}
-    axis = s_time.frames[[row[ScatteringPath(1, i)] for i in geo]]  # (bins, frames)
+    axis = frames[1:1 + n_bins]  # (bins, frames)
     n_fft_fr = next_pow2(max(n_bins, cfg.f_wavelet_len))
     bank_fr = cached_bank(1, cfg.f_wavelet_len, n_fft_fr)
 
@@ -252,9 +229,4 @@ def frequency_scattering(s_time: ScatteringFeatures,
     moduli = np.abs(sfft.ifft(spectra[None, :, :] * bank_fr.responses[:, None, :],
                               axis=2))  # (wavelets, frames, n_fft_fr)
     moduli = moduli[:, :, pad_left:pad_left + n_bins].transpose(0, 2, 1)
-
-    paths = [FrequencyScatteringPath(mu, b)
-             for mu in range(len(bank_fr.filters)) for b in range(n_bins)]
-    return ScatteringFeatures(
-        s_time.paths_order + tuple(paths),
-        np.concatenate([s_time.frames, moduli.reshape(len(paths), -1)]))
+    return np.concatenate([frames, moduli.reshape(-1, frames.shape[1])])

@@ -27,7 +27,7 @@ from scatfeat.features import extract_many
 from scatfeat.filterbank import (FilterBankSpec, build_morlet_bank,
                                  cached_bank, littlewood_paley_sum)
 from scatfeat.mfcc import mfcc_frames, mfcc_stats
-from scatfeat.scattering import ScatteringPath, time_scattering
+from scatfeat.scattering import scattering_paths, time_scattering
 from scatfeat.synthetic import write_am_dataset
 
 from conftest import FS, bandlimited_noise, reference_mfcc
@@ -68,8 +68,7 @@ def test_a2_non_expansiveness():
         amp = rng.uniform(0.05, 0.5)
         x = rng.standard_normal(N) * amp
         y = rng.standard_normal(N) * amp
-        lhs = np.linalg.norm(_scatter(x).frames -
-                             _scatter(y).frames)
+        lhs = np.linalg.norm(_scatter(x) - _scatter(y))
         rhs = np.linalg.norm(x - y)
         assert lhs <= rhs + 1e-6, trial
         worst = max(worst, lhs - rhs)
@@ -84,13 +83,12 @@ def test_a3_translation_invariance():
         x = bandlimited_noise(rng, N)
         base = _scatter(x)
         small = _scatter(np.roll(x, 256))
-        change = np.linalg.norm(small.frames - base.frames) \
-            / np.linalg.norm(base.frames)
+        change = np.linalg.norm(small - base) / np.linalg.norm(base)
         assert change < 0.05, trial
         worst_small = max(worst_small, change)
-        large = _scatter(np.roll(x, CFG.t))
-        pooled = np.linalg.norm(large.utterance_vector - base.utterance_vector) \
-            / np.linalg.norm(base.utterance_vector)
+        base_pooled = base.mean(axis=1)
+        large = _scatter(np.roll(x, CFG.t)).mean(axis=1)
+        pooled = np.linalg.norm(large - base_pooled) / np.linalg.norm(base_pooled)
         assert pooled < 0.10, trial
         worst_large = max(worst_large, pooled)
     print(f"\nA3 PASS: shift 256 worst frame change {worst_small:.4f} < 0.05; "
@@ -102,20 +100,18 @@ def test_a4_layer_physics():
     bank1 = cached_bank(CFG.q1, CFG.t, n_fft)
     bank2 = cached_bank(CFG.q2, CFG.t, n_fft)
     tt = np.arange(N) / FS
+    paths = scattering_paths(CFG)
 
-    tone = _scatter(0.5 * np.cos(2 * np.pi * 1000.0 * tt))
-    s1 = np.array([v for p, v in zip(tone.paths_order, tone.utterance_vector)
-                   if isinstance(p, ScatteringPath) and p.order == 1])
+    tone = _scatter(0.5 * np.cos(2 * np.pi * 1000.0 * tt)).mean(axis=1)
+    s1 = np.array([v for p, v in zip(paths, tone) if p[0] == 1])
     bin_1k = round(1000.0 * n_fft / FS)
     expected_l1 = int(np.argmax(bank1.responses[:, bin_1k]))
     got_l1 = int(np.argmax(s1))
     assert got_l1 == expected_l1
 
     am = _scatter((1.0 + 0.5 * np.cos(2 * np.pi * 8.0 * tt))
-                  * np.cos(2 * np.pi * 1000.0 * tt))
-    s2 = {p.lambda2_index: v for p, v in zip(am.paths_order, am.utterance_vector)
-          if isinstance(p, ScatteringPath) and p.order == 2
-          and p.lambda1_index == expected_l1}
+                  * np.cos(2 * np.pi * 1000.0 * tt)).mean(axis=1)
+    s2 = {p[2]: v for p, v in zip(paths, am) if p[:2] == (2, expected_l1)}
     admissible = sorted(s2)
     bin_8 = round(8.0 * n_fft / FS)
     expected_l2 = admissible[int(np.argmax(bank2.responses[admissible, bin_8]))]
@@ -152,12 +148,12 @@ def test_a5_deformation_stability_vs_mfcc():
         scale = 0.5 / np.max(np.abs(x))
         w0 = Waveform(x * scale, FS)
         x_norm = np.linalg.norm(w0.samples)
-        scat0 = time_scattering(w0, CFG).utterance_vector
+        scat0 = time_scattering(w0, CFG).mean(axis=1)
         mfcc0 = mfcc_stats(mfcc_frames(w0, mcfg))
         for eps in epsilons:
             w1 = Waveform(signal_at((1.0 - eps) * tt) * scale, FS)
             scat_dev = np.linalg.norm(
-                time_scattering(w1, CFG).utterance_vector - scat0) / x_norm
+                time_scattering(w1, CFG).mean(axis=1) - scat0) / x_norm
             mfcc_dev = np.linalg.norm(
                 mfcc_stats(mfcc_frames(w1, mcfg)) - mfcc0) / x_norm
             if scat_dev < mfcc_dev:
@@ -237,20 +233,20 @@ def test_a9_synthetic_loso(am_corpus):
     manifest = load_manifest(am_corpus)
     assert len(manifest) == 4 * 3 * 10
     run_cfg = RunConfig()
-    report = run_experiment(manifest, "scatnet", run_cfg)
-    assert report.mean_uar >= 0.9
-
     rows, errors = extract_many(manifest, "scatnet", run_cfg)
     assert not errors
+    # run_experiment's LOSO: run_cfg's grid, gamma scales over the dimension
+    grid = (tuple(run_cfg.svm_c),
+            tuple(s / rows[0].vector.shape[0] for s in run_cfg.svm_gamma_scale))
+    report = run_loso(rows, *grid)
+    assert report.mean_uar >= 0.9
+
     perm_rng = np.random.default_rng(4242)
     labels = [r.label for r in rows]
     shuffled = perm_rng.permutation(labels)
     permuted = [FeatureRow(r.utterance_id, r.speaker_id, lab, r.vector)
                 for r, lab in zip(rows, shuffled)]
-    control = run_loso(permuted,
-                       c_values=tuple(run_cfg.svm_c),
-                       gamma_values=tuple(s / rows[0].vector.shape[0]
-                                          for s in run_cfg.svm_gamma_scale))
+    control = run_loso(permuted, *grid)
     assert 0.15 <= control.mean_uar <= 0.55
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

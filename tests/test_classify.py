@@ -13,7 +13,7 @@ from scatfeat.classify import (PairMachine, Standardizer, SvmModel,
 from scatfeat.classify import (_STD_FLOOR, _SV_TRUNCATE, MAX_SMO_ITER,
                                SOLVER_TOL)
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
-                             TooFewRowsError)
+                             InvalidSvmParamError, TooFewRowsError)
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -255,6 +255,27 @@ class TestSvmTrain:
         for m in model.pairs:
             assert abs(m.alpha_y.sum()) < 1e-6
             assert m.kkt_residual <= 1e-3
+
+
+class TestSvmParams:
+    """C and gamma must be finite numbers > 0: at C = 0 every alpha stays
+    0 and the bias is NaN, and a grid without a cell trains no model."""
+
+    @pytest.mark.parametrize("c, gamma", [
+        (0.0, 0.5), (-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+        (1.0, 0.0), (1.0, -0.5), (1.0, np.nan), (1.0, np.inf)])
+    def test_svm_train_rejects(self, rng, c, gamma):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 5)
+        with pytest.raises(InvalidSvmParamError):
+            svm_train(x, y, c, gamma)
+
+    @pytest.mark.parametrize("c_values, gamma_values", [
+        ([], [0.5]), ([1.0], []), ([1.0, 0.0], [0.5]), ([1.0], [0.5, np.nan]),
+        ([1.0], [-1.0]), ([np.inf], [0.5])])
+    def test_grid_search_rejects(self, rng, c_values, gamma_values):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 5)
+        with pytest.raises(InvalidSvmParamError):
+            grid_search((x, y), (x, y), c_values, gamma_values)
 
 
 class TestSvmPredict:

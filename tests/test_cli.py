@@ -147,6 +147,44 @@ class TestEmptyFeatureFile:
         assert not (tmp_path / "model.json").exists()
 
 
+class TestBadSvmGrid:
+    @pytest.mark.parametrize("line", ["svm_c=0", "svm_c=", "svm_c=1,-1",
+                                      "svm_gamma_scale=nan"])
+    def test_evaluate_exits_2(self, feature_file, tmp_path, capsys, line):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(line + "\n")
+        report_dir = tmp_path / "rep"
+        assert main(["evaluate", "--features", str(feature_file), "--grid", str(grid),
+                     "--report-dir", str(report_dir)]) == 2
+        assert "error: SVM " in capsys.readouterr().err
+        assert not report_dir.exists()
+
+    @pytest.mark.parametrize("c, gamma", [("-1", "0.1"), ("0", "0.1"), ("1", "0"),
+                                          ("1", "inf")])
+    def test_train_exits_2(self, feature_file, tmp_path, capsys, c, gamma):
+        model = tmp_path / "model.json"
+        assert main(["train", "--features", str(feature_file), "--c", c,
+                     "--gamma", gamma, "--out", str(model)]) == 2
+        assert "error: SVM " in capsys.readouterr().err
+        assert not model.exists()
+
+
+class TestBadFeatureFile:
+    @pytest.mark.parametrize("body, message", [
+        ("#SCATFEAT v1 kind=mfcc dim=0 config_hash=x\nu0,s0,a\nu1,s1,b\nu2,s2,a\n",
+         "feat.csv:1: dim must be at least 1"),
+        ("#SCATFEAT v1 kind=mfcc dim=1 config_hash=x\nu0,s0,a,1\nu1,s1,b,nan\n"
+         "u2,s2,a,2\n", "feat.csv:3: non-finite value 'nan'"),
+    ])
+    def test_evaluate_exits_2(self, tmp_path, capsys, body, message):
+        feat = tmp_path / "feat.csv"
+        feat.write_text(body)
+        assert main(["evaluate", "--features", str(feat),
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+
 class TestHeaderOnlyManifest:
     @pytest.mark.parametrize("command", [
         ["extract", "--feature", "mfcc", "--out", "feat.csv"],

@@ -182,6 +182,14 @@ class TestFeatureFile:
             write_feature_file(path, "mfcc", rows, "abc123")
         assert not path.exists()
 
+    def test_non_finite_writes_nothing(self, tmp_path, rng):
+        rows = self.rows(rng)
+        rows[1].vector[2] = np.nan
+        path = tmp_path / "f.csv"
+        with pytest.raises(ScatFeatError, match="u1: non-finite value"):
+            write_feature_file(path, "mfcc", rows, "abc123")
+        assert not path.exists()
+
     def test_rewrite_byte_identical(self, tmp_path, rng):
         rows = self.rows(rng)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -227,6 +235,20 @@ class TestFeatureFile:
         path.write_text("#SCATFEAT v1 kind=mfcc dim=three config_hash=x\n"
                         "u0,s0,lab,1.0,2.0,3.0\n")
         with pytest.raises(ScatFeatError):
+            read_feature_file(path)
+
+    def test_dim_below_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=0 config_hash=x\nu0,s0,lab\n")
+        with pytest.raises(ScatFeatError, match=r"bad\.csv:1: dim must be at least 1, got 0"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=3 config_hash=x\n"
+                        f"u0,s0,lab,1.0,2.0,3.0\nu1,s1,lab,1.0,{value},3.0\n")
+        with pytest.raises(ScatFeatError, match=rf"bad\.csv:3: non-finite value '{value}'"):
             read_feature_file(path)
 
     def test_header_without_rows(self, tmp_path):

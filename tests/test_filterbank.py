@@ -68,6 +68,17 @@ class TestConstruction:
             predicted = math.ceil(q * math.log2(max_center_freq(q) * t / q))
             assert abs(count - predicted) <= 1
 
+    @pytest.mark.parametrize("q", [1, 3, 5, 8])
+    @pytest.mark.parametrize("t", [4096, 16384, 32768])
+    def test_geometric_filters_come_first(self, q, t):
+        """frequency_scattering takes the order-1 rows right after order 0
+        as its log-frequency axis, so every bank lists its geometric
+        filters first."""
+        bank = build_morlet_bank(FilterBankSpec(q, t, 65536))
+        n_geo = len(bank.geometric_indices())
+        assert n_geo >= 2
+        assert bank.geometric_indices() == list(range(n_geo))
+
     def test_doubling_nfft_keeps_geometry(self):
         a = build_morlet_bank(FilterBankSpec(5, 4096, 16384))
         b = build_morlet_bank(FilterBankSpec(5, 4096, 32768))

@@ -12,9 +12,8 @@ from scatfeat.errors import (AxisTooShortError, InvalidSpecError,
                              LengthMismatchError, SampleRateError)
 from scatfeat.features import extract_vector
 from scatfeat.filterbank import cached_bank
-from scatfeat.scattering import (FrequencyScatteringPath, ScatteringFeatures,
-                                 ScatteringPath, frequency_scattering,
-                                 lowpass_average, next_pow2, time_scattering,
+from scatfeat.scattering import (frequency_scattering, lowpass_average,
+                                 next_pow2, scattering_paths, time_scattering,
                                  wavelet_modulus)
 
 from conftest import FS, bandlimited_noise
@@ -47,13 +46,14 @@ def reference_lowpass_average(u, lowpass, hop):
 
 
 def reference_time_scattering(w, cfg):
-    """(paths_order, frames) of the full-length transform."""
+    """(row labels, frames) of the full-length transform, labelled as
+    scattering_paths labels them."""
     n_fft = cfg.n_fft
     x = pad_or_crop_center(fix_length(w, cfg.n).samples, n_fft)
     bank1 = cached_bank(cfg.q1, cfg.t, n_fft)
     bank2 = cached_bank(cfg.q2, cfg.t, n_fft)
     u1 = reference_wavelet_modulus(x, bank1)
-    paths = [ScatteringPath(0)] + [ScatteringPath(1, i1) for i1 in range(len(u1))]
+    paths = [(0,)] + [(1, i1) for i1 in range(len(u1))]
     blocks = [reference_lowpass_average(x[None, :], bank1.lowpass, cfg.hop),
               reference_lowpass_average(u1, bank1.lowpass, cfg.hop)]
     for i1, f1 in enumerate(bank1.filters):
@@ -63,8 +63,8 @@ def reference_time_scattering(w, cfg):
         u2 = np.abs(sfft.ifft(sfft.fft(u1[i1])[None, :] * bank2.responses[admissible],
                               axis=1))
         blocks.append(reference_lowpass_average(u2, bank1.lowpass, cfg.hop))
-        paths += [ScatteringPath(2, i1, int(i2)) for i2 in admissible]
-    return tuple(paths), np.concatenate(blocks)
+        paths += [(2, i1, int(i2)) for i2 in admissible]
+    return paths, np.concatenate(blocks)
 
 
 def assert_rows_close(got, want, rel=1e-12):
@@ -103,10 +103,9 @@ class TestWaveletModulus:
         assert_rows_close(wavelet_modulus(x, bank), reference_wavelet_modulus(x, bank))
 
 
-def order2(feats):
-    """{(lambda1, lambda2): frame row} of the order-2 paths."""
-    return {(p.lambda1_index, p.lambda2_index): row
-            for p, row in zip(feats.paths_order, feats.frames) if p.order == 2}
+def order2(frames):
+    """{(lambda1, lambda2): frame row} of CFG's order-2 paths."""
+    return {p[1:]: row for p, row in zip(scattering_paths(CFG), frames) if p[0] == 2}
 
 
 class TestScatterLayer2:
@@ -115,10 +114,10 @@ class TestScatterLayer2:
         # envelope under every analytic first-layer wavelet, so every
         # second-layer modulus (zero-mean wavelets) vanishes.
         k = round(BANK1.filters[4].center_freq_normalized * N_FFT)
-        feats = time_scattering(Waveform(sine_norm(k / N_FFT, CFG.n), FS), CFG)
-        u2 = order2(feats)
+        frames = time_scattering(Waveform(sine_norm(k / N_FFT, CFG.n), FS), CFG)
+        u2 = order2(frames)
         assert u2
-        assert np.min(feats.frames[1 + 4]) > 0.1  # order 1 does see the sine
+        assert np.min(frames[1 + 4]) > 0.1  # order 1 does see the sine
         worst = max(np.max(seq) for seq in u2.values())
         assert worst < 1e-9
 
@@ -137,13 +136,14 @@ class TestScatterLayer2:
         assert got == expected
 
     def test_path_count_matches_admissibility(self):
-        u2 = order2(time_scattering(Waveform(np.zeros(CFG.n), FS), CFG))
+        frames = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
         centers2 = BANK2.center_freqs
         expected = sum(int(np.sum(centers2 < f.bandwidth)) for f in BANK1.filters)
-        assert len(u2) == expected
+        assert len(order2(frames)) == expected
+        assert frames.shape[0] == len(scattering_paths(CFG))
 
     def test_lexicographic_order(self):
-        keys = list(order2(time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)))
+        keys = [p[1:] for p in scattering_paths(CFG) if p[0] == 2]
         assert keys == sorted(keys)
 
 
@@ -217,49 +217,44 @@ class TestLowpassAverage:
 
 class TestTimeScattering:
     def test_zero_signal_zero_vector(self):
-        feats = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
-        assert np.all(feats.utterance_vector == 0.0)
+        frames = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
+        assert np.all(frames == 0.0)
 
     def test_path_layout(self):
-        feats = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
-        orders = [p.order for p in feats.paths_order]
+        paths = scattering_paths(CFG)
+        orders = [p[0] for p in paths]
         n1 = len(BANK1.filters)
-        assert orders[0] == 0
-        assert orders[1:n1 + 1] == [1] * n1
+        assert paths[:n1 + 1] == [(0,)] + [(1, i) for i in range(n1)]
         assert set(orders[n1 + 1:]) == {2}
-        lam1s = [p.lambda1_index for p in feats.paths_order if p.order == 1]
-        assert lam1s == sorted(lam1s)
-        pairs = [(p.lambda1_index, p.lambda2_index) for p in feats.paths_order
-                 if p.order == 2]
+        pairs = [p[1:] for p in paths if p[0] == 2]
         assert pairs == sorted(pairs)
-        assert feats.frames.shape == (len(feats.paths_order), N_FFT // CFG.hop)
+        frames = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
+        assert frames.shape == (len(paths), N_FFT // CFG.hop)
 
     def test_non_expansive(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         y = bandlimited_noise(rng, CFG.n, peak=0.4)
-        sx = time_scattering(Waveform(x, FS), CFG).frames
-        sy = time_scattering(Waveform(y, FS), CFG).frames
+        sx = time_scattering(Waveform(x, FS), CFG)
+        sy = time_scattering(Waveform(y, FS), CFG)
         assert np.linalg.norm(sx - sy) <= np.linalg.norm(x - y) + 1e-6
 
     def test_scale_homogeneity(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         a = time_scattering(Waveform(x, FS), CFG)
         b = time_scattering(Waveform(0.25 * x, FS), CFG)
-        ref = np.linalg.norm(a.frames)
-        assert np.linalg.norm(b.frames - 0.25 * a.frames) < 1e-9 * ref
+        ref = np.linalg.norm(a)
+        assert np.linalg.norm(b - 0.25 * a) < 1e-9 * ref
 
     def test_translation_covariance_one_hop(self, rng):
         # n == n_fft here, so rolling the input is circular for the FFT
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
-        a = time_scattering(Waveform(x, FS), CFG).frames
-        b = time_scattering(Waveform(np.roll(x, CFG.hop), FS), CFG).frames
+        a = time_scattering(Waveform(x, FS), CFG)
+        b = time_scattering(Waveform(np.roll(x, CFG.hop), FS), CFG)
         assert np.allclose(b, np.roll(a, 1, axis=1), atol=1e-9)
 
     def test_non_negative(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
-        feats = time_scattering(Waveform(x, FS), CFG)
-        assert np.all(feats.frames >= 0.0)
-        assert np.all(feats.utterance_vector >= 0.0)
+        assert np.all(time_scattering(Waveform(x, FS), CFG) >= 0.0)
 
     def test_wrong_sample_rate(self):
         with pytest.raises(SampleRateError):
@@ -267,18 +262,18 @@ class TestTimeScattering:
 
     def test_arbitrary_length_fixed_internally(self, rng):
         x = rng.standard_normal(2 * CFG.n) * 0.1
-        feats = time_scattering(Waveform(x, FS), CFG)
+        frames = time_scattering(Waveform(x, FS), CFG)
         ref = time_scattering(Waveform(x[CFG.n // 2:CFG.n // 2 + CFG.n], FS), CFG)
-        assert np.allclose(feats.utterance_vector, ref.utterance_vector)
+        assert np.allclose(frames.mean(axis=1), ref.mean(axis=1))
 
     def test_log_compress(self, rng):
         """The frames are linear; extract_vector takes one log of every row,
         frequency-scattering rows included, then pools."""
         cfg = replace(CFG, f_wavelet_len=8)
         w = Waveform(bandlimited_noise(rng, CFG.n, peak=0.4), FS)
-        feats = time_scattering(w, cfg)
-        for kind, frames in (("scatnet", feats.frames),
-                             ("f-scatnet", frequency_scattering(feats, cfg).frames)):
+        linear = time_scattering(w, cfg)
+        for kind, frames in (("scatnet", linear),
+                             ("f-scatnet", frequency_scattering(linear, cfg))):
             want = np.log(frames + cfg.log_eps).mean(axis=1)
             assert np.array_equal(extract_vector(kind, w, cfg), want)
 
@@ -315,9 +310,8 @@ class TestFullLengthOracle:
         cfg = RunConfig()
         w = Waveform(oracle_signal(kind, cfg), FS)
         paths, want = reference_time_scattering(w, cfg)
-        feats = time_scattering(w, cfg)
-        assert feats.paths_order == paths
-        got = feats.frames
+        assert scattering_paths(cfg) == paths
+        got = time_scattering(w, cfg)
         if log:
             got, want = np.log(got + cfg.log_eps), np.log(want + cfg.log_eps)
         assert_rows_close(got, want)
@@ -329,9 +323,8 @@ class TestFullLengthOracle:
         cfg = RunConfig(q1=2, t=512)
         w = Waveform(oracle_signal("noise-1", cfg), FS)
         paths, frames = reference_time_scattering(w, cfg)
-        feats = time_scattering(w, cfg)
-        assert feats.paths_order == paths
-        assert_rows_close(feats.frames, frames)
+        assert scattering_paths(cfg) == paths
+        assert_rows_close(time_scattering(w, cfg), frames)
 
     def test_tables_built_once(self, rng, monkeypatch):
         """Supports are built with a bank, the low-pass table once per
@@ -355,30 +348,39 @@ class TestFullLengthOracle:
 
 class TestFrequencyScattering:
     FCFG = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
+    N_GEO = len(BANK1.geometric_indices())
+    N_WAVELETS = len(cached_bank(1, 8, next_pow2(max(N_GEO, 8))).filters)
 
     def test_constant_s1_gives_zero(self):
-        n_geo = len(BANK1.geometric_indices())
         n1 = len(BANK1.filters)
-        paths = tuple(ScatteringPath(1, i) for i in range(n1))
-        feats = ScatteringFeatures(paths, np.full((n1, 4), 3.5))
-        out = frequency_scattering(feats, self.FCFG)
-        assert all(isinstance(p, FrequencyScatteringPath)
-                   for p in out.paths_order[n1:])
-        assert np.array_equal(out.frames[:n1], feats.frames)
-        fs_vals = out.frames[n1:]
-        assert fs_vals.size > 0
-        assert np.max(np.abs(fs_vals)) < 1e-9 * 3.5
-        assert n_geo >= 2
+        frames = np.full((1 + n1, 4), 3.5)
+        out = frequency_scattering(frames, self.FCFG)
+        assert np.array_equal(out[:1 + n1], frames)
+        assert out.shape == (1 + n1 + self.N_WAVELETS * self.N_GEO, 4)
+        assert np.max(np.abs(out[1 + n1:])) < 1e-9 * 3.5
+        assert self.N_GEO >= 2
+
+    def test_reads_the_geometric_order1_rows(self, rng):
+        """Only rows 1 .. n_geo reach the appended block: the order-0 row,
+        the linear-region order-1 rows and order 2 do not."""
+        frames = time_scattering(Waveform(bandlimited_noise(rng, CFG.n, peak=0.4), FS),
+                                 self.FCFG)
+        out = frequency_scattering(frames, self.FCFG)
+        changed = frames.copy()
+        changed[0] *= 7.0
+        changed[1 + self.N_GEO:] *= 3.0
+        again = frequency_scattering(changed, self.FCFG)
+        assert np.array_equal(again[len(frames):], out[len(frames):])
+        changed[self.N_GEO] *= 2.0
+        assert not np.allclose(frequency_scattering(changed, self.FCFG)[len(frames):],
+                               out[len(frames):])
 
     def test_path_count(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         base = time_scattering(Waveform(x, FS), self.FCFG)
         out = frequency_scattering(base, self.FCFG)
-        n_geo = len(BANK1.geometric_indices())
-        n_fr_filters = len(cached_bank(1, 8, next_pow2(max(n_geo, 8))).filters)
-        added = len(out.paths_order) - len(base.paths_order)
-        assert added == n_fr_filters * n_geo
-        assert out.utterance_vector.shape == (len(out.paths_order),)
+        assert out.shape[0] - base.shape[0] == self.N_WAVELETS * self.N_GEO
+        assert np.array_equal(out[:len(base)], base)
 
     def test_transposition_covariance(self):
         # One octave up moves the order-1 pattern by q1 geometric bins;
@@ -387,45 +389,24 @@ class TestFrequencyScattering:
         n = np.arange(16000)
         wa = Waveform(0.5 * np.cos(2 * np.pi * (500.0 / FS) * n), FS)
         wb = Waveform(0.5 * np.cos(2 * np.pi * (1000.0 / FS) * n), FS)
-        fa = frequency_scattering(time_scattering(wa, cfg), cfg)
-        fb = frequency_scattering(time_scattering(wb, cfg), cfg)
+        n_time = len(scattering_paths(cfg))
+        n_geo = len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).geometric_indices())
 
-        def tensor(feats):
-            fps = [(p, v) for p, v in zip(feats.paths_order, feats.utterance_vector)
-                   if isinstance(p, FrequencyScatteringPath)]
-            mus = 1 + max(p.wavelet_index for p, _ in fps)
-            bins = 1 + max(p.lambda1_bin for p, _ in fps)
-            out = np.zeros((mus, bins))
-            for p, v in fps:
-                out[p.wavelet_index, p.lambda1_bin] = v
-            return out
+        def tensor(w):
+            out = frequency_scattering(time_scattering(w, cfg), cfg)
+            return out[n_time:].mean(axis=1).reshape(-1, n_geo)
 
-        ta, tb = tensor(fa), tensor(fb)
+        ta, tb = tensor(wa), tensor(wb)
         aligned = np.roll(ta, -cfg.q1, axis=1)  # f -> 2f lowers the bin index
         interior = slice(8, ta.shape[1] - 8)
         err = np.linalg.norm(aligned[:, interior] - tb[:, interior])
         assert err < 0.10 * np.linalg.norm(tb[:, interior])
 
     def test_axis_too_short(self):
-        feats = ScatteringFeatures((ScatteringPath(1, 0),), np.ones((1, 4)))
         tiny = RunConfig(q1=1, q2=1, t=4, n=8, f_wavelet_len=2)
         with pytest.raises(AxisTooShortError):
-            frequency_scattering(feats, tiny)
+            frequency_scattering(np.ones((1, 4)), tiny)
 
-
-class TestPoolUtterance:
-    def test_single_frame(self):
-        feats = ScatteringFeatures((ScatteringPath(1, 0),), np.array([[2.5]]))
-        assert np.array_equal(feats.utterance_vector, [2.5])
-
-    def test_two_frames_mean(self):
-        p0, p1 = ScatteringPath(1, 0), ScatteringPath(1, 1)
-        feats = ScatteringFeatures((p0, p1), np.array([[1.0, 3.0], [4.0, 0.0]]))
-        assert np.array_equal(feats.utterance_vector, [2.0, 2.0])
-
-    def test_frame_permutation_invariant(self, rng):
-        p = ScatteringPath(1, 0)
-        vals = rng.standard_normal(16)
-        a = ScatteringFeatures((p,), vals[None, :]).utterance_vector
-        b = ScatteringFeatures((p,), rng.permutation(vals)[None, :]).utterance_vector
-        assert a == pytest.approx(b)
+    def test_rows_without_an_order1_block(self):
+        with pytest.raises(LengthMismatchError):
+            frequency_scattering(np.ones((len(BANK1.filters), 4)), self.FCFG)
