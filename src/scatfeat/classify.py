@@ -1,14 +1,22 @@
-"""Feature standardization and one-vs-one RBF-kernel SVM trained by SMO."""
+"""Feature standardization and one-vs-one RBF-kernel SVM trained by SMO.
+
+A model is stored in LIBSVM's one-vs-one layout (Chang & Lin, ACM TIST
+2011): one matrix of the training rows that support any class pair, and one
+coefficient column per pair. The decision values of every pair for a batch
+of rows are then one kernel product, rbf_kernel(rows, support_vectors) @
+coef + bias.
+"""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateClassError, DimensionMismatchError,
-                     InvalidSvmParamError, TooFewRowsError)
+                     InvalidSvmParamError, ScatFeatError, TooFewRowsError)
 
 # The solver iterates well past the contract so the decision function is
 # insensitive (within ~1e-6) to the training sample order.
@@ -120,35 +128,43 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
     return alpha, bias, float(violation), bool(violation <= tol), n_iter
 
 
-@dataclass(frozen=True)
-class PairMachine:
-    """Binary machine for one class pair; decision > 0 votes class_a."""
-
-    class_a: str
-    class_b: str
-    support_vectors: np.ndarray
-    alpha_y: np.ndarray
-    bias: float
-    kkt_residual: float
-    converged: bool
+def _class_pairs(n_classes: int) -> list[tuple[int, int]]:
+    """The one-vs-one pairs (ia, ib), ia < ib, in model column order."""
+    return list(itertools.combinations(range(n_classes), 2))
 
 
 @dataclass(frozen=True)
 class SvmModel:
+    """One-vs-one machines over one support-vector matrix.
+
+    Column p belongs to the p-th pair (ia, ib) of _class_pairs; a decision
+    value > 0 votes classes[ia]. support_vectors (n_sv, d) holds, in
+    training order, the rows that are a support vector of at least one
+    pair; coef (n_sv, n_pairs) holds each pair's alpha * y, 0 on rows the
+    pair does not use. bias, kkt_residual and converged hold one entry per
+    pair.
+    """
+
     classes: tuple[str, ...]
-    pairs: tuple[PairMachine, ...]
+    support_vectors: np.ndarray
+    coef: np.ndarray
+    bias: np.ndarray
+    kkt_residual: np.ndarray
+    converged: np.ndarray
     gamma: float
     c: float
     standardizer: Standardizer
 
     @property
     def convergence_warnings(self) -> list[str]:
-        return [f"pair ({m.class_a}, {m.class_b}) hit the SMO iteration cap "
-                f"(residual {m.kkt_residual:.3g})"
-                for m in self.pairs if not m.converged]
+        return [f"pair ({self.classes[ia]}, {self.classes[ib]}) hit the SMO "
+                f"iteration cap (residual {residual:.3g})"
+                for (ia, ib), residual, converged in zip(
+                    _class_pairs(len(self.classes)), self.kkt_residual, self.converged)
+                if not converged]
 
 
-def _svm_axis(name: str, values) -> list[float]:
+def svm_axis(name: str, values) -> list[float]:
     """The values sorted ascending. An empty axis trains nothing, and each
     value must be a finite number > 0 (at C = 0 the bias is NaN)."""
     values = sorted(float(v) for v in values)
@@ -164,8 +180,8 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     The standardizer that produced x travels with the model so that
     svm_predict can be fed raw features. Passing None stores an identity.
     """
-    _svm_axis("C", [c])
-    _svm_axis("gamma", [gamma])
+    svm_axis("C", [c])
+    svm_axis("gamma", [gamma])
     x = np.asarray(x, dtype=np.float64)
     return _train_on_kernel(x, y, rbf_kernel(x, x, gamma), c, gamma, standardizer)
 
@@ -174,7 +190,7 @@ def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
                      gamma: float, standardizer: Standardizer | None = None
                      ) -> SvmModel:
     """svm_train given kernel = rbf_kernel(x, x, gamma); each pair's Gram
-    matrix is a slice of it."""
+    matrix is a slice of it, and its alpha * y fills the pair's coef column."""
     labels = np.asarray(y)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
@@ -182,28 +198,26 @@ def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
     if standardizer is None:
         standardizer = Standardizer(np.zeros(x.shape[1]), np.ones(x.shape[1]))
 
-    machines = []
-    for ia in range(len(classes)):
-        for ib in range(ia + 1, len(classes)):
-            sel = np.flatnonzero((labels == classes[ia]) | (labels == classes[ib]))
-            ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
-            alpha, bias, residual, converged, _ = smo_solve(
-                kernel[np.ix_(sel, sel)], ys, c)
-            keep = alpha > _SV_TRUNCATE
-            machines.append(PairMachine(classes[ia], classes[ib],
-                                        x[sel[keep]], (alpha * ys)[keep],
-                                        bias, residual, converged))
-    return SvmModel(classes, tuple(machines), float(gamma), float(c), standardizer)
+    pairs = _class_pairs(len(classes))
+    coef = np.zeros((len(labels), len(pairs)))
+    bias, residual, converged = (np.empty(len(pairs)), np.empty(len(pairs)),
+                                 np.empty(len(pairs), dtype=bool))
+    for p, (ia, ib) in enumerate(pairs):
+        sel = np.flatnonzero((labels == classes[ia]) | (labels == classes[ib]))
+        ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
+        alpha, bias[p], residual[p], converged[p], _ = smo_solve(
+            kernel[np.ix_(sel, sel)], ys, c)
+        keep = alpha > _SV_TRUNCATE
+        coef[sel[keep], p] = (alpha * ys)[keep]
+    used = coef.any(axis=1)
+    return SvmModel(classes, x[used], coef[used], bias, residual, converged,
+                    float(gamma), float(c), standardizer)
 
 
 def svm_decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Per-pair decision values for raw feature rows, shape (n, n_pairs)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xs = standardize_apply(model.standardizer, x)
-    out = np.empty((xs.shape[0], len(model.pairs)))
-    for col, m in enumerate(model.pairs):
-        out[:, col] = rbf_kernel(xs, m.support_vectors, model.gamma) @ m.alpha_y + m.bias
-    return out
+    xs = standardize_apply(model.standardizer, np.atleast_2d(x))
+    return rbf_kernel(xs, model.support_vectors, model.gamma) @ model.coef + model.bias
 
 
 def svm_predict(model: SvmModel, x: np.ndarray):
@@ -213,17 +227,13 @@ def svm_predict(model: SvmModel, x: np.ndarray):
     class order. A single feature row yields a single label, a matrix yields
     an array of labels.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     decisions = svm_decision_values(model, x)
-    class_index = {cls: k for k, cls in enumerate(model.classes)}
     n = decisions.shape[0]
     votes = np.zeros((n, len(model.classes)))
     margins = np.zeros((n, len(model.classes)))
-    for col, m in enumerate(model.pairs):
+    for col, (ka, kb) in enumerate(_class_pairs(len(model.classes))):
         d = decisions[:, col]
         winner_a = d > 0
-        ka, kb = class_index[m.class_a], class_index[m.class_b]
         votes[winner_a, ka] += 1
         votes[~winner_a, kb] += 1
         margins[winner_a, ka] += np.abs(d[winner_a])
@@ -232,7 +242,7 @@ def svm_predict(model: SvmModel, x: np.ndarray):
     top = votes == votes.max(axis=1, keepdims=True)
     winners = np.argmax(np.where(top, margins, -np.inf), axis=1)
     labels = [model.classes[k] for k in winners]
-    return labels[0] if single else np.array(labels)
+    return labels[0] if np.ndim(x) == 1 else np.array(labels)
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     """
     from .evaluation import confusion, uar  # metric lives with the harness
 
-    c_values, gamma_values = _svm_axis("C", c_values), _svm_axis("gamma", gamma_values)
+    c_values, gamma_values = svm_axis("C", c_values), svm_axis("gamma", gamma_values)
     x_train, y_train = train
     x_train = np.asarray(x_train, dtype=np.float64)
     x_valid, y_valid = valid
@@ -288,36 +298,44 @@ def kkt_residual(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray,
 
 def model_to_json(model: SvmModel) -> str:
     """Serialize as a single JSON document with round-trip float precision."""
-    doc = {
-        "classes": list(model.classes),
-        "gamma": model.gamma,
-        "c": model.c,
-        "standardizer": {"mean": model.standardizer.mean.tolist(),
-                         "std": model.standardizer.std.tolist()},
-        "pairs": [{
-            "class_a": m.class_a,
-            "class_b": m.class_b,
-            "sv": m.support_vectors.tolist(),
-            "alpha_y": m.alpha_y.tolist(),
-            "bias": m.bias,
-            "kkt_residual": m.kkt_residual,
-            "converged": m.converged,
-        } for m in model.pairs],
-    }
+    doc = {key: getattr(model, key).tolist() for key in
+           ("support_vectors", "coef", "bias", "kkt_residual", "converged")}
+    doc.update(classes=list(model.classes), gamma=model.gamma, c=model.c,
+               standardizer={"mean": model.standardizer.mean.tolist(),
+                             "std": model.standardizer.std.tolist()})
     return json.dumps(doc, sort_keys=True)
 
 
+def _doc_array(doc: dict, key: str, *shape: int) -> np.ndarray:
+    """doc[key] as a float64 array of `shape`, where -1 matches any length."""
+    try:
+        arr = np.array(doc[key], dtype=np.float64)
+        arr = arr.reshape(shape) if arr.size == 0 else arr  # JSON writes empty as []
+    except (TypeError, ValueError) as exc:
+        raise ScatFeatError(f"model {key!r}: {exc}") from None
+    if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
+        raise ScatFeatError(f"model {key!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def model_from_json(text: str) -> SvmModel:
-    doc = json.loads(text)
-    standardizer = Standardizer(np.array(doc["standardizer"]["mean"], dtype=np.float64),
-                                np.array(doc["standardizer"]["std"], dtype=np.float64))
-    dim = standardizer.mean.shape[0]
-    pairs = tuple(
-        PairMachine(p["class_a"], p["class_b"],
-                    np.array(p["sv"], dtype=np.float64).reshape(-1, dim),
-                    np.array(p["alpha_y"], dtype=np.float64),
-                    float(p["bias"]), float(p["kkt_residual"]),
-                    bool(p["converged"]))
-        for p in doc["pairs"])
-    return SvmModel(tuple(doc["classes"]), pairs, float(doc["gamma"]),
-                    float(doc["c"]), standardizer)
+    """Inverse of model_to_json. A missing key, a value of the wrong type,
+    or an array whose shape disagrees with the classes or the standardizer,
+    is a ScatFeatError."""
+    try:
+        doc = json.loads(text)
+        classes = tuple(doc["classes"])
+        n_pairs = len(_class_pairs(len(classes)))
+        mean = _doc_array(doc["standardizer"], "mean", -1)
+        std = _doc_array(doc["standardizer"], "std", len(mean))
+        support_vectors = _doc_array(doc, "support_vectors", -1, len(mean))
+        coef = _doc_array(doc, "coef", len(support_vectors), n_pairs)
+        bias, residual, converged = (_doc_array(doc, key, n_pairs) for key in
+                                     ("bias", "kkt_residual", "converged"))
+        return SvmModel(classes, support_vectors, coef, bias, residual,
+                        converged.astype(bool), float(doc["gamma"]),
+                        float(doc["c"]), Standardizer(mean, std))
+    except KeyError as exc:
+        raise ScatFeatError(f"model document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScatFeatError(f"malformed model document: {exc}") from None

@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import grid_search, standardize_apply, standardize_fit, svm_predict
+from .classify import (grid_search, standardize_apply, standardize_fit,
+                       svm_axis, svm_predict)
 from .config import RunConfig
 from .errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
                      TooFewSpeakersError, UnknownLabelError)
@@ -222,6 +223,10 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
 
     if not manifest:
         raise TooFewRowsError("experiment needs manifest rows, got none")
+    # a grid that cannot train fails before any utterance is transformed:
+    # each gamma is a scale over dim >= 1
+    svm_axis("C", run_cfg.svm_c)
+    svm_axis("gamma scale", run_cfg.svm_gamma_scale)
     feature_rows, errors = extract_many(manifest, feature_kind, run_cfg,
                                         n_workers=n_workers)
     if errors:

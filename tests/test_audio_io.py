@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scatfeat.audio_io import Waveform, fix_length, load_wav, pad_or_crop_center, resample
 from scatfeat.errors import CorruptHeaderError, UnsupportedEncodingError
 
-from conftest import FS, sine, write_wav_raw, write_wav_stdlib
+from testkit import FS, sine, write_wav_raw, write_wav_stdlib
 
 
 class TestLoadWav:
@@ -119,7 +119,7 @@ class TestResample:
         assert rms_out < 1e-3 * rms_in
 
     def test_roundtrip_16_48_16(self, rng):
-        from conftest import bandlimited_noise
+        from testkit import bandlimited_noise
         x = bandlimited_noise(rng, FS, f_hi_hz=6800.0)
         back = resample(resample(Waveform(x, FS), 48000), FS)
         assert len(back) == FS

@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import scatfeat.classify
-from scatfeat.classify import (PairMachine, Standardizer, SvmModel,
+from scatfeat.classify import (Standardizer, SvmModel,
                                grid_search, kkt_residual, model_from_json,
                                model_to_json, rbf_kernel, smo_solve,
                                standardize_apply, standardize_fit,
@@ -13,7 +14,8 @@ from scatfeat.classify import (PairMachine, Standardizer, SvmModel,
 from scatfeat.classify import (_STD_FLOOR, _SV_TRUNCATE, MAX_SMO_ITER,
                                SOLVER_TOL)
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
-                             InvalidSvmParamError, TooFewRowsError)
+                             InvalidSvmParamError, ScatFeatError,
+                             TooFewRowsError)
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -102,13 +104,26 @@ def vote_reference(model, decisions):
     for row in decisions:
         votes = dict.fromkeys(model.classes, 0)
         margins = dict.fromkeys(model.classes, 0.0)
-        for m, d in zip(model.pairs, row):
-            winner = m.class_a if d > 0 else m.class_b
+        for (class_a, class_b), d in zip(itertools.combinations(model.classes, 2), row):
+            winner = class_a if d > 0 else class_b
             votes[winner] += 1
             margins[winner] += abs(d)
         labels.append(min(model.classes, key=lambda c: (
             -votes[c], -margins[c], model.classes.index(c))))
     return labels
+
+
+def reference_decision_values(model, x):
+    """One kernel per class pair, over that pair's own support vectors (the
+    rows where its coef column is non-zero): the per-pair machines that one
+    support-vector matrix replaced."""
+    xs = standardize_apply(model.standardizer, np.atleast_2d(x))
+    out = np.empty((xs.shape[0], model.coef.shape[1]))
+    for p in range(model.coef.shape[1]):
+        used = model.coef[:, p] != 0.0
+        out[:, p] = (rbf_kernel(xs, model.support_vectors[used], model.gamma)
+                     @ model.coef[used, p] + model.bias[p])
+    return out
 
 
 def dual_objective(kernel, y, alpha):
@@ -251,10 +266,41 @@ class TestSvmTrain:
     def test_dual_constraint_per_machine(self, rng):
         x, y = blobs(rng, [("a", (2, 0)), ("b", (-2, 0)), ("c", (0, 2))], 15, 0.3)
         model = svm_train(x, y, c=10.0, gamma=1.0)
-        assert len(model.pairs) == 3
-        for m in model.pairs:
-            assert abs(m.alpha_y.sum()) < 1e-6
-            assert m.kkt_residual <= 1e-3
+        assert model.coef.shape == (len(model.support_vectors), 3)
+        assert np.all(np.abs(model.coef.sum(axis=0)) < 1e-6)
+        assert model.bias.shape == model.kkt_residual.shape == (3,)
+        assert np.all(model.kkt_residual <= 1e-3) and np.all(model.converged)
+
+    def test_one_support_vector_matrix(self, rng):
+        """Each training row is stored once, and only if some pair uses it;
+        a pair's column is non-zero only on rows of its two classes, with
+        positive coefficients on its first class."""
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1)),
+                           ("d", (0, -1))], 12, 0.6)
+        model = svm_train(x, y, c=1.0, gamma=0.5)
+        sv_rows = [int(np.flatnonzero((x == sv).all(axis=1))[0])
+                   for sv in model.support_vectors]
+        assert sv_rows == sorted(set(sv_rows))
+        assert np.all(model.coef.any(axis=1))
+        labels = y[sv_rows]
+        for p, (a, b) in enumerate(itertools.combinations(model.classes, 2)):
+            col = model.coef[:, p]
+            assert np.all(col[(labels != a) & (labels != b)] == 0.0)
+            assert np.all(col[labels == a] >= 0.0)
+            assert np.all(col[labels == b] <= 0.0)
+
+    @pytest.mark.parametrize("n_classes, c, gamma", [
+        (2, 1.0, 0.5), (3, 10.0, 1.0), (5, 0.3, 2.0), (7, 100.0, 0.05)])
+    def test_matches_per_pair_reference(self, rng, n_classes, c, gamma):
+        centers = [(f"k{k}", (np.cos(k), np.sin(k), 0.3 * k)) for k in range(n_classes)]
+        x, y = blobs(rng, centers, 9, 0.7)
+        std = standardize_fit(x)
+        model = svm_train(standardize_apply(std, x), y, c, gamma, standardizer=std)
+        probe = rng.normal(0, 1.5, (40, 3)) + x.mean(axis=0)
+        got = svm_decision_values(model, probe)
+        ref = reference_decision_values(model, probe)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 class TestSvmParams:
@@ -307,13 +353,11 @@ class TestSvmPredict:
 
     @staticmethod
     def constant_model(biases):
-        """Three classes whose pair machines have no support vectors, so
-        each decision is the pair's bias: (a, b), (a, c), (b, c)."""
-        classes = ("a", "b", "c")
-        pairs = tuple(PairMachine(classes[ia], classes[ib], np.empty((0, 2)),
-                                  np.empty(0), bias, 0.0, True)
-                      for (ia, ib), bias in zip([(0, 1), (0, 2), (1, 2)], biases))
-        return SvmModel(classes, pairs, 1.0, 1.0,
+        """Three classes and no support vectors, so each decision is the
+        pair's bias: (a, b), (a, c), (b, c)."""
+        return SvmModel(("a", "b", "c"), np.empty((0, 2)), np.empty((0, 3)),
+                        np.array(biases, dtype=float), np.zeros(3),
+                        np.ones(3, dtype=bool), 1.0, 1.0,
                         Standardizer(np.zeros(2), np.ones(2)))
 
     @pytest.mark.parametrize("biases, expected", [
@@ -365,20 +409,26 @@ class TestGridSearch:
     def test_training_distances_built_once(self, rng, monkeypatch):
         x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
         xv, yv = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 4, 0.6)
-        shapes = []
+        shapes, n_svs = [], []
         sq_distances = scatfeat.classify.sq_distances
+        train_on_kernel = scatfeat.classify._train_on_kernel
 
         def counting(a, b):
             shapes.append((len(a), len(b)))
             return sq_distances(a, b)
 
+        def recording(*args):
+            model = train_on_kernel(*args)
+            n_svs.append(len(model.support_vectors))
+            return model
+
         monkeypatch.setattr(scatfeat.classify, "sq_distances", counting)
+        monkeypatch.setattr(scatfeat.classify, "_train_on_kernel", recording)
         grid_search((x, y), (xv, yv), [0.1, 10.0], [0.05, 2.0])
-        # the first call is the training rows' distances, every later one
-        # compares validation rows with a pair's support vectors
-        assert shapes[0] == (30, 30)
-        assert len(shapes) == 1 + 4 * 3
-        assert all(a == 12 for a, _ in shapes[1:])
+        # the first call is the training rows' distances, then each cell
+        # compares the validation rows with its model's support vectors once
+        assert shapes == [(30, 30)] + [(12, n) for n in n_svs]
+        assert len(n_svs) == 4
 
     def test_returns_the_winning_model(self, rng):
         x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
@@ -398,10 +448,11 @@ class TestSerialization:
         assert back.classes == model.classes
         assert back.gamma == model.gamma and back.c == model.c
         assert np.array_equal(back.standardizer.mean, model.standardizer.mean)
-        for m1, m2 in zip(model.pairs, back.pairs):
-            assert np.array_equal(m1.support_vectors, m2.support_vectors)
-            assert np.array_equal(m1.alpha_y, m2.alpha_y)
-            assert m1.bias == m2.bias
+        assert np.array_equal(back.standardizer.std, model.standardizer.std)
+        for field in ("support_vectors", "coef", "bias", "kkt_residual", "converged"):
+            assert np.array_equal(getattr(back, field), getattr(model, field)), field
+            assert getattr(back, field).dtype == getattr(model, field).dtype, field
+        assert model_to_json(back) == text
         probe = rng.normal(0, 1, (20, 2))
         assert np.array_equal(svm_predict(model, probe), svm_predict(back, probe))
 
@@ -410,3 +461,85 @@ class TestSerialization:
         std = standardize_fit(x)
         model = svm_train(standardize_apply(std, x), y, 1.0, 0.5, standardizer=std)
         assert svm_predict(model, np.array([30.0, 30.0])) == "a"
+
+    def test_roundtrip_without_support_vectors(self):
+        model = TestSvmPredict.constant_model((1.0, -2.0, 3.0))
+        back = model_from_json(model_to_json(model))
+        assert back.support_vectors.shape == (0, 2) and back.coef.shape == (0, 3)
+        assert model_to_json(back) == model_to_json(model)
+
+
+class TestModelFromJsonRejects:
+    """A model document that lacks a key, or whose arrays disagree in shape
+    with each other or with the standardizer, is a ScatFeatError that names
+    the key."""
+
+    @staticmethod
+    def doc(rng):
+        x, y = blobs(rng, [("a", (1, 1)), ("b", (-1, -1)), ("c", (1, -1))], 6, 0.4)
+        std = standardize_fit(x)
+        model = svm_train(standardize_apply(std, x), y, 1.0, 0.5, standardizer=std)
+        return json.loads(model_to_json(model))
+
+    @pytest.mark.parametrize("key", ["classes", "gamma", "c", "standardizer",
+                                     "support_vectors", "coef", "bias",
+                                     "kkt_residual", "converged"])
+    def test_missing_key(self, rng, key):
+        doc = self.doc(rng)
+        del doc[key]
+        with pytest.raises(ScatFeatError, match=key):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    def test_missing_standardizer_key(self, rng, key):
+        doc = self.doc(rng)
+        del doc["standardizer"][key]
+        with pytest.raises(ScatFeatError, match=key):
+            model_from_json(json.dumps(doc))
+
+    def test_per_pair_layout(self, rng):
+        """The retired layout: one machine per pair, each with its own
+        support vectors, and no shared matrix."""
+        doc = self.doc(rng)
+        doc["pairs"] = [{"class_a": "a", "class_b": "b", "sv": doc["support_vectors"],
+                         "alpha_y": [row[0] for row in doc["coef"]],
+                         "bias": doc["bias"][0], "kkt_residual": 0.0,
+                         "converged": True}]
+        for key in ("support_vectors", "coef", "bias", "kkt_residual", "converged"):
+            del doc[key]
+        with pytest.raises(ScatFeatError, match="support_vectors"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(gamma="x"), lambda d: d.update(c=[1.0]),
+        lambda d: d.update(classes=None), lambda d: d.update(standardizer=[])])
+    def test_wrong_value_type(self, rng, edit):
+        doc = self.doc(rng)
+        edit(doc)
+        with pytest.raises(ScatFeatError):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "not json", '"model"'])
+    def test_not_a_model_document(self, text):
+        with pytest.raises(ScatFeatError):
+            model_from_json(text)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("std", lambda d: d["standardizer"]["std"].pop()),
+        ("support_vectors", lambda d: d["support_vectors"][0].pop()),
+        ("support_vectors", lambda d: d.update(support_vectors=[1.0, 2.0])),
+        ("coef", lambda d: d["support_vectors"].pop()),
+        ("coef", lambda d: d["coef"][0].pop()),
+        ("coef", lambda d: d.update(coef=d["coef"][0])),
+        ("coef", lambda d: d["coef"].append(d["coef"][0])),
+        ("bias", lambda d: d["bias"].pop()),
+        ("kkt_residual", lambda d: d["kkt_residual"].append(0.0)),
+        ("converged", lambda d: d.update(converged=True)),
+        ("coef", lambda d: d["classes"].append("d")),
+        ("coef", lambda d: d.update(coef="none")),
+    ])
+    def test_shape_disagrees(self, rng, key, edit):
+        doc = self.doc(rng)
+        edit(doc)
+        with pytest.raises(ScatFeatError, match=key):
+            model_from_json(json.dumps(doc))

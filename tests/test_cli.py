@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import scatfeat.features
 from scatfeat.cli import main
 from scatfeat.synthetic import write_am_dataset
 
@@ -126,9 +127,11 @@ class TestTrain:
                      "--gamma", "0.05", "--out", str(model_path)])
         assert code in (0, 3)
         doc = json.loads(model_path.read_text())
-        assert set(doc) == {"classes", "gamma", "c", "standardizer", "pairs"}
+        assert set(doc) == {"classes", "gamma", "c", "standardizer", "support_vectors",
+                            "coef", "bias", "kkt_residual", "converged"}
         assert doc["classes"] == ["fast", "slow"]
-        assert len(doc["pairs"]) == 1
+        assert len(doc["bias"]) == 1
+        assert all(len(row) == 1 for row in doc["coef"])
 
 
 class TestEmptyFeatureFile:
@@ -158,6 +161,25 @@ class TestBadSvmGrid:
                      "--report-dir", str(report_dir)]) == 2
         assert "error: SVM " in capsys.readouterr().err
         assert not report_dir.exists()
+
+    @pytest.mark.parametrize("line", ["svm_c=0", "svm_c=", "svm_gamma_scale=-1"])
+    def test_sweep_exits_2_before_extracting(self, mini_corpus, cfg_file, tmp_path,
+                                             capsys, monkeypatch, line):
+        calls = []
+        extract_vector = scatfeat.features.extract_vector
+
+        def counting(*args):
+            calls.append(args[0])
+            return extract_vector(*args)
+
+        monkeypatch.setattr(scatfeat.features, "extract_vector", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_file.read_text() + line + "\n")
+        assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
+                     "--t", "512", "--config", str(cfg), "--threads", "1",
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+        assert "error: SVM " in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("c, gamma", [("-1", "0.1"), ("0", "0.1"), ("1", "0"),
                                           ("1", "inf")])

@@ -15,7 +15,7 @@ from scatfeat.features import (extract_many, extract_vector,
 from scatfeat.filterbank import cached_bank
 from scatfeat.synthetic import write_wav_pcm16
 
-from conftest import FS, bandlimited_noise
+from testkit import FS, bandlimited_noise
 
 # Laptop-speed configuration for exercising the extraction pipeline.
 SMALL = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)

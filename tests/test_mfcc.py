@@ -6,7 +6,7 @@ from scatfeat.config import RunConfig
 from scatfeat.errors import SignalTooShortError, TooFewFramesError
 from scatfeat.mfcc import mel_filterbank, mfcc_frames, mfcc_stats, mfcc_utterance
 
-from conftest import FS, reference_mfcc
+from testkit import FS, reference_mfcc
 
 CFG = RunConfig()
 

@@ -16,7 +16,7 @@ from scatfeat.scattering import (frequency_scattering, lowpass_average,
                                  next_pow2, scattering_paths, time_scattering,
                                  wavelet_modulus)
 
-from conftest import FS, bandlimited_noise
+from testkit import FS, bandlimited_noise
 
 # Small, fast configuration shared across this module; n == n_fft so circular
 # shifts of the input are true circular shifts of the transform input.
