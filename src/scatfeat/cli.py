@@ -96,8 +96,6 @@ def build_parser() -> _Parser:
 def _cmd_extract(args) -> int:
     cfg = _load_run_config(args.config)
     kind = args.feature or cfg.feature_kind
-    if kind not in FEATURE_KINDS:
-        raise ScatFeatError(f"unknown feature kind {kind!r}")
     manifest = load_manifest(args.manifest)
     for warning in manifest_warnings(manifest):
         print(f"warning: {warning}", file=sys.stderr)

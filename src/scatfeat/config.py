@@ -1,21 +1,29 @@
 """Run configuration: the one parameter set, its file round-trip and feature
-config hashing."""
+config hashing.
+
+RunConfig has eight settable fields. The values the protocol fixes are class
+constants, read as cfg.<name> like fields: the 16 kHz working rate, one
+wavelet per octave in the second scattering layer (q2, as in Anden & Mallat,
+"Deep Scattering Spectrum", IEEE TSP 2014) and the standard MFCC baseline's
+window, hop, DFT length, mel bands, band edges and coefficient count. A
+config is checked once, when it is made (RunConfig.__post_init__), so every
+RunConfig in existence is valid, whether it came from the constructor,
+dataclasses.replace or load_config. Filter-bank limits on q1 and t are
+FilterBankSpec's to check, when a scattering kind builds its banks.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .audio_io import SAMPLE_RATE_HZ, next_pow2
+from .classify import svm_axis
 from .errors import InvalidSpecError, ScatFeatError
 
 FEATURE_KINDS = ("scatnet", "f-scatnet", "mfcc", "scat-layer1", "scat-layer2")
-
-# Keys that once were settable and can take only these values now. Configs
-# that carry them still load, and hashes still include them, so every
-# feature file keeps its hash.
-_RETIRED = {"sample_rate_hz": SAMPLE_RATE_HZ, "log_compress": True}
 
 # Fields whose values change extracted feature vectors, per kind family.
 _SCAT_HASH_FIELDS = ("sample_rate_hz", "q1", "q2", "t", "n", "f_wavelet_len",
@@ -31,36 +39,49 @@ _DEFINITIONS = {"f-scatnet": 2}
 class RunConfig:
     """Every protocol parameter; round-trips through key=value text or JSON.
 
-    q1/q2 are wavelets per octave of the first/second scattering bank, t the
+    Fields: q1 is the first scattering bank's wavelets per octave, t the
     averaging scale in samples, n the fixed signal length, f_wavelet_len
     the averaging-scale analogue (in log-frequency bins) of the bank used
     for frequency scattering, and log_eps the offset of the log taken
-    before pooling (see features.extract_vector). The MFCC fields are in
-    milliseconds and Hz at SAMPLE_RATE_HZ. SVM grid entries are lists;
-    gamma scales are divided by the feature dimension at evaluation time.
+    before pooling (see features.extract_vector). SVM grid entries are
+    lists; gamma scales are divided by the feature dimension at evaluation
+    time.
+
+    The class constants below are not fields: they are fixed, and configs
+    that state them load only at these values. The MFCC ones are in
+    milliseconds and Hz at SAMPLE_RATE_HZ.
     """
 
-    sample_rate_hz = SAMPLE_RATE_HZ  # not a field: input is resampled to it
+    sample_rate_hz = SAMPLE_RATE_HZ  # input is resampled to it
+    q2 = 1
+    n_coeffs = 13
+    win_ms = 20.0
+    hop_ms = 10.0
+    mfcc_n_fft = 512
+    n_mels = 26
+    fmin_hz = 0.0
+    fmax_hz = 8000.0
+    win_samples = int(round(win_ms * SAMPLE_RATE_HZ / 1000.0))
+    hop_samples = int(round(hop_ms * SAMPLE_RATE_HZ / 1000.0))
 
     feature_kind: str = "scatnet"
-    # scattering
     q1: int = 5
-    q2: int = 1
     t: int = 16384
     n: int = 51000
     f_wavelet_len: int = 32
     log_eps: float = 1e-7
-    # mfcc
-    n_coeffs: int = 13
-    win_ms: float = 20.0
-    hop_ms: float = 10.0
-    mfcc_n_fft: int = 512
-    n_mels: int = 26
-    fmin_hz: float = 0.0
-    fmax_hz: float = 8000.0
-    # svm grid
     svm_c: tuple = (0.1, 1.0, 10.0, 100.0)
     svm_gamma_scale: tuple = (0.1, 1.0, 10.0)
+
+    def __post_init__(self):
+        if self.feature_kind not in FEATURE_KINDS:
+            raise ScatFeatError(f"unknown feature kind {self.feature_kind!r}")
+        if self.n < 1:
+            raise InvalidSpecError(f"n must be positive, got {self.n}")
+        if not 0.0 < self.log_eps < math.inf:
+            raise InvalidSpecError(f"log_eps must be a finite number > 0, got {self.log_eps}")
+        svm_axis("C", self.svm_c)
+        svm_axis("gamma scale", self.svm_gamma_scale)
 
     @property
     def n_fft(self) -> int:
@@ -70,48 +91,39 @@ class RunConfig:
     def hop(self) -> int:
         return self.t // 2
 
-    @property
-    def win_samples(self) -> int:
-        return int(round(self.win_ms * SAMPLE_RATE_HZ / 1000.0))
 
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_ms * SAMPLE_RATE_HZ / 1000.0))
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise InvalidSpecError("n must be positive")
-        if self.log_eps <= 0:
-            raise InvalidSpecError("log_eps must be positive")
-        if self.n_coeffs > self.n_mels:
-            raise InvalidSpecError("n_coeffs must not exceed n_mels")
-        if self.win_samples > self.mfcc_n_fft:
-            raise InvalidSpecError("window longer than mfcc_n_fft")
-
-
+# Keys that once were settable and can take only these values now. Configs
+# that carry them still load, and hashes still include them, so every
+# feature file keeps its hash.
+_RETIRED = {"log_compress": True, **{name: getattr(RunConfig, name) for name in (
+    "sample_rate_hz", "q2", "n_coeffs", "win_ms", "hop_ms", "mfcc_n_fft", "n_mels",
+    "fmin_hz", "fmax_hz")}}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw):
+    """raw as the key's type; a retired key's value is compared as that
+    type, so win_ms=20 and win_ms=20.0 both load."""
     if isinstance(raw, str):
         raw = raw.strip()
-    if name in _RETIRED:
-        if str(raw).lower() != str(_RETIRED[name]).lower():
-            raise ScatFeatError(f"config key {name!r}: only {_RETIRED[name]} is "
-                                f"supported, got {raw!r}")
-        return _RETIRED[name]
-    kind = _FIELD_TYPES.get(name)
+    kind = type(_RETIRED[name]).__name__ if name in _RETIRED else _FIELD_TYPES.get(name)
     if kind is None:
         raise ScatFeatError(f"unknown config key {name!r}")
     try:
         if kind == "tuple":
             items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-            return tuple(float(v) for v in items if str(v).strip())
-        if kind == "int" and isinstance(raw, (bool, float)):
+            value = tuple(float(v) for v in items if str(v).strip())
+        elif kind == "int" and isinstance(raw, (bool, float)):
             raise ValueError  # int() would truncate 8.7 and take true as 1
-        return {"int": int, "float": float, "str": str}[kind](raw)
+        else:
+            value = {"int": int, "float": float, "str": str,
+                     "bool": lambda v: str(v).lower() == "true"}[kind](raw)
     except (TypeError, ValueError):
         raise ScatFeatError(f"config key {name!r}: not a valid {kind}: {raw!r}") from None
+    if name in _RETIRED and value != _RETIRED[name]:
+        raise ScatFeatError(f"config key {name!r}: only {_RETIRED[name]} is "
+                            f"supported, got {raw!r}")
+    return value
 
 
 def config_from_text(text: str) -> RunConfig:

@@ -9,10 +9,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import (grid_search, standardize_apply, standardize_fit,
-                       svm_axis, svm_predict)
+                       svm_predict)
 from .config import RunConfig
 from .errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
                      TooFewSpeakersError, UnknownLabelError)
+from .filterbank import FilterBankSpec
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,6 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
 
     if not manifest:
         raise TooFewRowsError("experiment needs manifest rows, got none")
-    # a grid that cannot train fails before any utterance is transformed:
-    # each gamma is a scale over dim >= 1
-    svm_axis("C", run_cfg.svm_c)
-    svm_axis("gamma scale", run_cfg.svm_gamma_scale)
     feature_rows, errors = extract_many(manifest, feature_kind, run_cfg,
                                         n_workers=n_workers)
     if errors:
@@ -249,12 +246,12 @@ class SweepRow:
 
 def param_sweep(manifest: list[ManifestRow], q_values, t_values,
                 run_cfg, n_workers: int | None = None) -> list[SweepRow]:
-    """run_experiment on scatnet features for every (q, t) cell."""
+    """run_experiment on scatnet features for every (q, t) cell. Every
+    cell's bank spec is checked before any cell extracts."""
+    for q in q_values:
+        for t in t_values:
+            FilterBankSpec(int(q), int(t), run_cfg.n_fft).validate()
     out = []
-    for t in t_values:
-        if t & (t - 1) or t > run_cfg.n_fft:
-            raise ScatFeatError(
-                f"t={t} must be a power of two <= next_pow2(n)={run_cfg.n_fft}")
     for q in q_values:
         for t in t_values:
             cfg = replace(run_cfg, q1=int(q), t=int(t))

@@ -14,7 +14,8 @@ from .errors import ScatFeatError
 from .evaluation import FeatureRow, ManifestRow
 from .filterbank import cached_bank
 from .mfcc import mfcc_utterance
-from .scattering import frequency_scattering, time_scattering
+from .scattering import (frequency_bank, frequency_scattering,
+                         scattering_paths, time_scattering)
 
 FORMAT_TAG = "SCATFEAT v1"
 
@@ -56,10 +57,16 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     """Extract features for every manifest row with a bounded thread pool.
 
     Returns (feature_rows sorted by utterance_id, errors), where errors is a
-    list of (utterance_id, message) for rows that failed.
+    list of (utterance_id, message) for rows that failed. The kind's banks
+    are built once, before any worker starts, so a config they reject
+    raises here before any WAV is read.
     """
     if n_workers is None:
         n_workers = os.cpu_count() or 1
+    if kind != "mfcc":
+        scattering_paths(cfg)
+    if kind == "f-scatnet":
+        frequency_bank(cfg)
 
     def one(row: ManifestRow):
         vec = extract_vector(kind, load_wav(row.path), cfg)

@@ -52,7 +52,9 @@ def _is_pow2(n: int) -> bool:
 @dataclass(frozen=True)
 class FilterBankSpec:
     """Parameters of one bank: q wavelets per octave, averaging scale t
-    (samples, power of two) and DFT length n_fft (power of two, >= t)."""
+    (samples, power of two) and DFT length n_fft (power of two, >= t).
+    validate also requires t large enough for q that the geometric region
+    holds at least one filter (lambda_max >= q/t)."""
 
     q: int
     t: int
@@ -67,6 +69,10 @@ class FilterBankSpec:
             raise InvalidSpecError(f"n_fft must be a power of two, got {self.n_fft}")
         if self.t > self.n_fft:
             raise InvalidSpecError(f"t={self.t} exceeds n_fft={self.n_fft}")
+        lam_max, cutoff = max_center_freq(self.q), self.q / self.t
+        if lam_max < cutoff - 1e-12:
+            raise InvalidSpecError(
+                f"geometric region is empty: lambda_max={lam_max:.4g} < q/t={cutoff:.4g}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +189,7 @@ def max_center_freq(q: int) -> float:
 def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
     """Construct the Morlet bank described in the module docstring.
 
-    Raises InvalidSpecError when the spec is inconsistent or t is too small
-    relative to q for any geometric filter to exist.
+    Raises InvalidSpecError when the spec is invalid (FilterBankSpec.validate).
     """
     spec.validate()
     q, t, n_fft = spec.q, spec.t, spec.n_fft
@@ -193,9 +198,6 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
 
     lam_max = max_center_freq(q)
     cutoff = q / t
-    if lam_max < cutoff - 1e-12:
-        raise InvalidSpecError(
-            f"geometric region is empty: lambda_max={lam_max:.4g} < q/t={cutoff:.4g}")
 
     centers: list[float] = []
     regions: list[str] = []

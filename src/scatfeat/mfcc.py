@@ -44,7 +44,6 @@ def mfcc_frames(w: Waveform, cfg: RunConfig = RunConfig()) -> np.ndarray:
     if w.sample_rate_hz != SAMPLE_RATE_HZ:
         raise SampleRateError(
             f"expected {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz}")
-    cfg.validate()
     win, hop = cfg.win_samples, cfg.hop_samples
     x = w.samples
     if x.size < win:

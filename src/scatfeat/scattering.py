@@ -177,7 +177,6 @@ def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
     if w.sample_rate_hz != SAMPLE_RATE_HZ:
         raise SampleRateError(
             f"expected {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz}")
-    cfg.validate()
     x = pad_or_crop_center(fix_length(w, cfg.n).samples, cfg.n_fft)
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
@@ -193,17 +192,11 @@ def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def frequency_scattering(frames: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """Append wavelet-modulus coefficients computed along the log-frequency
-    axis of the order-1 frames.
-
-    frames is time_scattering's matrix. Geometric filters come first in
-    every bank, so its order-1 geometric rows are frames[1:1 + n_geo]. For
-    each time frame they form a 1-D signal over log-lambda; a q=1 Morlet
-    bank with averaging scale cfg.f_wavelet_len decomposes it. The moduli
-    are kept unaveraged and appended below frames, an (n_wavelets, n_geo)
-    block of rows in wavelet-major order. It runs on the linear frames.
-    """
+def frequency_bank(cfg: RunConfig) -> FilterBank:
+    """The q=1 bank, at averaging scale cfg.f_wavelet_len, that
+    frequency_scattering runs along the log-frequency axis of the first
+    bank's geometric order-1 rows. Raises when that axis has fewer than 2
+    bins or f_wavelet_len exceeds the first bank's filter count."""
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     n_bins = len(bank1.geometric_indices())
     if n_bins < 2:
@@ -213,12 +206,28 @@ def frequency_scattering(frames: np.ndarray, cfg: RunConfig) -> np.ndarray:
         raise InvalidSpecError(
             f"f_wavelet_len={cfg.f_wavelet_len} exceeds the layer-1 filter "
             f"count {len(bank1.filters)}")
+    return cached_bank(1, cfg.f_wavelet_len, next_pow2(max(n_bins, cfg.f_wavelet_len)))
+
+
+def frequency_scattering(frames: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """Append wavelet-modulus coefficients computed along the log-frequency
+    axis of the order-1 frames.
+
+    frames is time_scattering's matrix. Geometric filters come first in
+    every bank, so its order-1 geometric rows are frames[1:1 + n_geo]. For
+    each time frame they form a 1-D signal over log-lambda; the q=1 bank
+    of frequency_bank(cfg) decomposes it. The moduli are kept unaveraged
+    and appended below frames, an (n_wavelets, n_geo) block of rows in
+    wavelet-major order. It runs on the linear frames.
+    """
+    bank_fr = frequency_bank(cfg)
+    bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
+    n_bins = len(bank1.geometric_indices())
     if frames.shape[0] <= len(bank1.filters):
         raise LengthMismatchError(f"{frames.shape[0]} rows hold no order-1 block")
 
     axis = frames[1:1 + n_bins]  # (bins, frames)
-    n_fft_fr = next_pow2(max(n_bins, cfg.f_wavelet_len))
-    bank_fr = cached_bank(1, cfg.f_wavelet_len, n_fft_fr)
+    n_fft_fr = bank_fr.spec.n_fft
 
     # Edge-replicated padding: a constant axis signal stays constant, so the
     # zero-mean wavelets return exactly zero on it.

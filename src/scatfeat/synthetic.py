@@ -3,9 +3,10 @@
 Class identity is the amplitude-modulation rate, speaker identity the
 carrier frequency. The modulation envelope multiplies both the carrier and
 a broadband noise floor, so the class signature survives the unseen-carrier
-test speaker of a LOSO fold. That invariance holds for log-compressed
-scattering frames (the RunConfig default); on linear coefficients the
-unseen carrier's order-1 bins dominate the standardized vector.
+test speaker of a LOSO fold. That invariance holds for the scattering
+vectors features.extract_vector returns, row means of the log of the
+frames; on linear coefficients the unseen carrier's order-1 bins dominate
+the standardized vector.
 """
 
 from __future__ import annotations

@@ -150,6 +150,24 @@ class TestEmptyFeatureFile:
         assert not (tmp_path / "model.json").exists()
 
 
+def counting(monkeypatch, name):
+    """Replace scatfeat.features.<name> by a wrapper that records its calls."""
+    calls = []
+    original = getattr(scatfeat.features, name)
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(scatfeat.features, name, wrapper)
+    return calls
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")]
+
+
 class TestBadSvmGrid:
     @pytest.mark.parametrize("line", ["svm_c=0", "svm_c=", "svm_c=1,-1",
                                       "svm_gamma_scale=nan"])
@@ -165,14 +183,7 @@ class TestBadSvmGrid:
     @pytest.mark.parametrize("line", ["svm_c=0", "svm_c=", "svm_gamma_scale=-1"])
     def test_sweep_exits_2_before_extracting(self, mini_corpus, cfg_file, tmp_path,
                                              capsys, monkeypatch, line):
-        calls = []
-        extract_vector = scatfeat.features.extract_vector
-
-        def counting(*args):
-            calls.append(args[0])
-            return extract_vector(*args)
-
-        monkeypatch.setattr(scatfeat.features, "extract_vector", counting)
+        calls = counting(monkeypatch, "extract_vector")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_file.read_text() + line + "\n")
         assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
@@ -189,6 +200,54 @@ class TestBadSvmGrid:
                      "--gamma", gamma, "--out", str(model)]) == 2
         assert "error: SVM " in capsys.readouterr().err
         assert not model.exists()
+
+
+class TestBadConfigFailsOnce:
+    """A config that cannot run fails with one error line before any WAV is
+    read or transformed."""
+
+    def test_sweep_log_eps_nan(self, mini_corpus, cfg_file, tmp_path, capsys,
+                               monkeypatch):
+        calls = counting(monkeypatch, "extract_vector")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_file.read_text() + "log_eps=nan\n")
+        assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
+                     "--t", "512", "--config", str(cfg), "--threads", "1",
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+        assert len(error_lines(capsys)) == 1 and calls == []
+        assert not (tmp_path / "rep").exists()
+
+    def test_sweep_q_below_one(self, mini_corpus, cfg_file, tmp_path, capsys,
+                               monkeypatch):
+        calls = counting(monkeypatch, "extract_vector")
+        assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3,0",
+                     "--t", "512", "--config", str(cfg_file), "--threads", "1",
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+        assert error_lines(capsys) == ["error: q must be >= 1, got 0"]
+        assert calls == []
+
+    def test_extract_bad_t(self, mini_corpus, tmp_path, capsys, monkeypatch):
+        calls = counting(monkeypatch, "extract_vector")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("t=1024", "t=1000"))
+        out = tmp_path / "feat.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--config", str(cfg),
+                     "--out", str(out), "--threads", "4"]) == 2
+        assert error_lines(capsys) == ["error: t must be a power of two, got 1000"]
+        assert calls == [] and not out.exists()
+
+    def test_f_scatnet_wavelet_longer_than_the_axis(self, mini_corpus, tmp_path,
+                                                    capsys, monkeypatch):
+        calls = counting(monkeypatch, "time_scattering")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("f_wavelet_len=8", "f_wavelet_len=64"))
+        out = tmp_path / "feat.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--feature",
+                     "f-scatnet", "--config", str(cfg), "--out", str(out),
+                     "--threads", "4"]) == 2
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and "f_wavelet_len=64" in lines[0]
+        assert calls == [] and not out.exists()
 
 
 class TestBadFeatureFile:

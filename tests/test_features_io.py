@@ -1,10 +1,12 @@
 import importlib.util
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scatfeat import filterbank
 from scatfeat.audio_io import Waveform
 from scatfeat.config import (RunConfig, config_from_text, config_to_text,
                              feature_config_hash, load_config)
@@ -18,7 +20,7 @@ from scatfeat.synthetic import write_wav_pcm16
 from testkit import FS, bandlimited_noise
 
 # Laptop-speed configuration for exercising the extraction pipeline.
-SMALL = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
+SMALL = RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8)
 
 # config_to_text(RunConfig()) as written before sample_rate_hz and
 # log_compress were retired, with the hashes it gave then (f-scatnet's
@@ -45,6 +47,18 @@ win_ms=20
 DEFAULT_HASHES = {"scatnet": "5f7a6014855e", "scat-layer1": "a2f95372f372",
                   "scat-layer2": "1682967b423f", "mfcc": "9c90fb8aa0a4",
                   "f-scatnet": "27184c3cd638"}
+
+
+# One invalid value each, as constructor keywords and as config text. A
+# RunConfig checks them when it is made, so none of them can exist.
+BAD_CONFIGS = [
+    ({"n": 0}, "n=0\n", "n must be positive"),
+    ({"log_eps": 0.0}, "log_eps=0\n", "log_eps"),
+    ({"log_eps": float("nan")}, "log_eps=nan\n", "log_eps"),
+    ({"log_eps": float("inf")}, "log_eps=inf\n", "log_eps"),
+    ({"feature_kind": "bogus"}, "feature_kind=bogus\n", "unknown feature kind"),
+    ({"svm_c": (0.0,)}, "svm_c=0\n", "SVM C"),
+]
 
 
 def load_reference():
@@ -83,10 +97,25 @@ class TestConfig:
         ("sample_rate_hz=22050\n", "sample_rate_hz"),
         ('{"log_compress": false}', "log_compress"),
         ('{"sample_rate_hz": 44100}', "sample_rate_hz"),
+        ("n_coeffs=20\n", "n_coeffs"),
+        ("q2=2\n", "q2"),
+        ('{"win_ms": 25}', "win_ms"),
     ])
     def test_retired_keys_reject_other_values(self, text, key):
         with pytest.raises(ScatFeatError, match=key):
             config_from_text(text)
+
+    @pytest.mark.parametrize("text", ["win_ms=20.0\nfmin_hz=0.0\nn_mels=26\n",
+                                      '{"fmax_hz": 8000, "hop_ms": 10.0, "q2": 1}'])
+    def test_retired_keys_compare_as_numbers(self, text):
+        assert config_from_text(text) == RunConfig()
+
+    def test_eight_settable_fields(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "feature_kind", "q1", "t", "n", "f_wavelet_len", "log_eps", "svm_c",
+            "svm_gamma_scale"]
+        assert not hasattr(RunConfig, "validate")
+        assert (RunConfig.win_samples, RunConfig.hop_samples) == (320, 160)
 
     @pytest.mark.parametrize("text, key", [
         ('{"q1": 8.7}', "q1"), ('{"q2": true}', "q2"), ('{"n": "many"}', "n"),
@@ -94,6 +123,21 @@ class TestConfig:
     ])
     def test_integer_fields_reject_non_integers(self, text, key):
         with pytest.raises(ScatFeatError, match=f"config key '{key}'"):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
+    def test_constructor_rejects(self, values, text, match):
+        with pytest.raises(ScatFeatError, match=match):
+            RunConfig(**values)
+
+    @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
+    def test_replace_rejects(self, values, text, match):
+        with pytest.raises(ScatFeatError, match=match):
+            replace(SMALL, **values)
+
+    @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
+    def test_config_text_rejects(self, values, text, match):
+        with pytest.raises(ScatFeatError, match=match):
             config_from_text(text)
 
     def test_unknown_key_rejected(self):
@@ -109,7 +153,7 @@ class TestConfig:
         assert a != feature_config_hash(replace(SMALL, log_eps=1e-6), "scatnet")
 
     def test_hash_ignores_svm_grid(self):
-        other = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8,
+        other = RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8,
                           svm_c=(9.0,))
         assert feature_config_hash(SMALL, "scatnet") == \
             feature_config_hash(other, "scatnet")
@@ -274,6 +318,31 @@ class TestExtractMany:
         rows, errors = extract_many(manifest, "mfcc", SMALL, n_workers=2)
         assert [r.utterance_id for r in rows] == ["u_good"]
         assert len(errors) == 1 and errors[0][0] == "u_bad"
+
+    @pytest.mark.parametrize("kind, builds", [("scatnet", 2), ("f-scatnet", 3),
+                                              ("mfcc", 0)])
+    def test_banks_built_once_before_the_workers(self, tmp_path, rng, monkeypatch,
+                                                 kind, builds):
+        """On a cold bank cache, each bank the kind needs is built once, not
+        once per worker. A slow build gives the workers time to race."""
+        manifest = []
+        for i in range(6):
+            p = tmp_path / f"w{i}.wav"
+            write_wav_pcm16(p, bandlimited_noise(rng, 4096), FS)
+            manifest.append(ManifestRow(f"u{i}", str(p), f"s{i % 3}", "x"))
+        specs = []
+        build = filterbank.build_morlet_bank
+
+        def slow_build(spec):
+            specs.append(spec)
+            time.sleep(0.05)
+            return build(spec)
+
+        monkeypatch.setattr(filterbank, "build_morlet_bank", slow_build)
+        cached_bank.cache_clear()
+        rows, errors = extract_many(manifest, kind, SMALL, n_workers=4)
+        assert len(rows) == 6 and errors == []
+        assert len(specs) == builds == len(set(specs))
 
     def test_parallel_matches_serial(self, tmp_path, rng):
         manifest = []

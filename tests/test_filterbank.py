@@ -123,17 +123,27 @@ class TestPeriodizedGaussian:
         assert diff.max() <= 1e-12
 
 
+INVALID_SPECS = [
+    (0, 1024, 8192),      # q < 1
+    (3, 1000, 8192),      # t not a power of two
+    (3, 1024, 6000),      # n_fft not a power of two
+    (3, 16384, 8192),     # t > n_fft
+    (8, 2, 8192),         # geometric region empty
+]
+
+
 class TestInvalidSpecs:
-    @pytest.mark.parametrize("q,t,n_fft", [
-        (0, 1024, 8192),      # q < 1
-        (3, 1000, 8192),      # t not a power of two
-        (3, 1024, 6000),      # n_fft not a power of two
-        (3, 16384, 8192),     # t > n_fft
-        (8, 2, 8192),         # geometric region empty
-    ])
+    @pytest.mark.parametrize("q,t,n_fft", INVALID_SPECS)
     def test_rejected(self, q, t, n_fft):
         with pytest.raises(InvalidSpecError):
             build_morlet_bank(FilterBankSpec(q, t, n_fft))
+
+    @pytest.mark.parametrize("q,t,n_fft", INVALID_SPECS)
+    def test_validate_rejects(self, q, t, n_fft):
+        """Every rule lives in FilterBankSpec.validate, so a spec can be
+        checked without building its bank."""
+        with pytest.raises(InvalidSpecError):
+            FilterBankSpec(q, t, n_fft).validate()
 
 
 class TestLittlewoodPaley:

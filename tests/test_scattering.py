@@ -20,7 +20,7 @@ from testkit import FS, bandlimited_noise
 
 # Small, fast configuration shared across this module; n == n_fft so circular
 # shifts of the input are true circular shifts of the transform input.
-CFG = RunConfig(q1=3, q2=1, t=1024, n=4096)
+CFG = RunConfig(q1=3, t=1024, n=4096)
 N_FFT = CFG.n_fft
 BANK1 = cached_bank(CFG.q1, CFG.t, N_FFT)
 BANK2 = cached_bank(CFG.q2, CFG.t, N_FFT)
@@ -347,7 +347,7 @@ class TestFullLengthOracle:
 
 
 class TestFrequencyScattering:
-    FCFG = RunConfig(q1=3, q2=1, t=1024, n=4096, f_wavelet_len=8)
+    FCFG = RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8)
     N_GEO = len(BANK1.geometric_indices())
     N_WAVELETS = len(cached_bank(1, 8, next_pow2(max(N_GEO, 8))).filters)
 
@@ -385,7 +385,7 @@ class TestFrequencyScattering:
     def test_transposition_covariance(self):
         # One octave up moves the order-1 pattern by q1 geometric bins;
         # unaveraged moduli should follow within 10% on interior bins.
-        cfg = RunConfig(q1=5, q2=1, t=4096, n=16000, f_wavelet_len=16)
+        cfg = RunConfig(q1=5, t=4096, n=16000, f_wavelet_len=16)
         n = np.arange(16000)
         wa = Waveform(0.5 * np.cos(2 * np.pi * (500.0 / FS) * n), FS)
         wb = Waveform(0.5 * np.cos(2 * np.pi * (1000.0 / FS) * n), FS)
@@ -403,7 +403,7 @@ class TestFrequencyScattering:
         assert err < 0.10 * np.linalg.norm(tb[:, interior])
 
     def test_axis_too_short(self):
-        tiny = RunConfig(q1=1, q2=1, t=4, n=8, f_wavelet_len=2)
+        tiny = RunConfig(q1=1, t=4, n=8, f_wavelet_len=2)
         with pytest.raises(AxisTooShortError):
             frequency_scattering(np.ones((1, 4)), tiny)
 
