@@ -73,56 +73,70 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
     deterministic for a fixed input order.
 
     Returns (alpha, bias, kkt_residual, converged, n_iter); converged is
-    kkt_residual <= tol, also when the max_iter-th update reached it.
+    kkt_residual <= tol, also when the max_iter-th update reached it. c
+    must be a finite number > 0, else InvalidSvmParamError.
     """
+    if not 0.0 < c < np.inf:  # not svm_axis: two-row solves are many and cheap
+        raise InvalidSvmParamError(f"SVM C needs a finite value > 0, got {c}")
     kernel = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    v = y.copy()  # v_k = y_k - sum_m alpha_m y_m K(m, k)
     # Per-index scalars live in Python lists: one update touches two
     # entries, and numpy scalar access costs more than the arithmetic.
     pos_rows = y > 0
-    alpha = [0.0] * n
+    alpha = [0.0] * y.size
     pos = pos_rows.tolist()
     diag = kernel.diagonal().tolist()
-    # I_up / I_low membership as additive penalties: v + up_pen is v on
-    # I_up and -inf off it, v + low_pen is v on I_low and +inf off it.
-    # At alpha = 0 only 0 < c can hold; an update changes entries i and j.
-    up_pen = np.where(pos_rows & (0.0 < c), 0.0, -np.inf)
-    low_pen = np.where(~pos_rows & (0.0 < c), 0.0, np.inf)
-    vi, vj, delta = np.empty(n), np.empty(n), np.empty(n)
+    # v_k = y_k - sum_m alpha_m y_m K(m, k) is kept in two rows: w[0] is v
+    # on I_up and -inf off it, w[1] is -v on I_low and -inf off it, so one
+    # argmax per row picks i (max of v on I_up) and j (lowest index of the
+    # min of v on I_low). Since c > 0, each index is in I_up (alpha below
+    # its upper limit) or I_low (above its lower limit), so one row always
+    # holds v_k. At alpha = 0, I_up is the positive rows and I_low the rest.
+    w = np.array([np.where(pos_rows, y, -np.inf), np.where(pos_rows, -np.inf, -y)])
+    up, low = pos[:], [not p for p in pos]
+    # An update subtracts step * (K[i] - K[j]) from v and adds it to -v.
+    # Negation is exact, so both rows round as v -= step * (K[i] - K[j]).
+    rows = kernel[:, None, :] * np.array([[1.0], [-1.0]])
+    delta = np.empty_like(w)
     # Pass k checks the KKT conditions after k updates, so the pass that
     # stops the loop supplies the residual and the fallback bias.
     for n_iter in range(max_iter + 1):
-        np.add(v, up_pen, out=vi)
-        np.add(v, low_pen, out=vj)
-        i = int(vi.argmax())
-        j = int(vj.argmin())
-        vi_max, vj_min = vi.item(i), vj.item(j)
+        i, j = w.argmax(axis=1).tolist()
+        vi_max, vj_min = w.item(0, i), -w.item(1, j)
         violation = vi_max - vj_min
         if violation <= tol or n_iter == max_iter:
             break
-        quad = max(diag[i] + diag[j] - 2.0 * kernel.item(i, j), _STD_FLOOR)
-        step = violation / quad
-        # alpha_i moves along +y_i, alpha_j along -y_j; both stay in [0, c]
+        quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
+        step = violation / (_STD_FLOOR if _STD_FLOOR > quad else quad)
+        # alpha_i moves along +y_i, alpha_j along -y_j; both stay in [0, c].
+        # The comparisons below tie as min() and max() do: the first wins.
         pos_i, pos_j = pos[i], pos[j]
-        limit_i = c - alpha[i] if pos_i else alpha[i]
-        limit_j = alpha[j] if pos_j else c - alpha[j]
-        step = min(step, limit_i, limit_j)
-        alpha[i] = min(max(alpha[i] + (step if pos_i else -step), 0.0), c)
-        alpha[j] = min(max(alpha[j] - (step if pos_j else -step), 0.0), c)
-        for k, pos_k in ((i, pos_i), (j, pos_j)):
-            a = alpha[k]
-            up_pen[k] = 0.0 if (a < c if pos_k else a > 0.0) else -np.inf
-            low_pen[k] = 0.0 if (a > 0.0 if pos_k else a < c) else np.inf
-        np.subtract(kernel[i], kernel[j], out=delta)
+        limit = c - alpha[i] if pos_i else alpha[i]
+        if limit < step:
+            step = limit
+        limit = alpha[j] if pos_j else c - alpha[j]
+        if limit < step:
+            step = limit
+        for k, moved in ((i, step if pos_i else -step), (j, -step if pos_j else step)):
+            a = alpha[k] + moved
+            a = 0.0 if 0.0 > a else a
+            alpha[k] = a = c if c < a else a
+            in_up = a < c if pos[k] else a > 0.0
+            in_low = a > 0.0 if pos[k] else a < c
+            if in_up != up[k] or in_low != low[k]:
+                # rewrite the rows only where membership changed
+                v_k = w.item(0, k) if up[k] else -w.item(1, k)
+                w[0, k] = v_k if in_up else -np.inf
+                w[1, k] = -v_k if in_low else -np.inf
+                up[k], low[k] = in_up, in_low
+        np.subtract(rows[i], rows[j], out=delta)
         delta *= step
-        v -= delta
+        w -= delta
 
     alpha = np.array(alpha)
     free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
-    if np.any(free):
-        bias = float(np.mean(v[free]))
+    if np.any(free):  # a free index is in I_up, so w[0] holds its v
+        bias = float(np.mean(w[0][free]))
     else:
         bias = float((vi_max + vj_min) / 2.0)
     return alpha, bias, float(violation), bool(violation <= tol), n_iter

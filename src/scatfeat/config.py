@@ -109,12 +109,14 @@ def _parse_value(name: str, raw):
     kind = type(_RETIRED[name]).__name__ if name in _RETIRED else _FIELD_TYPES.get(name)
     if kind is None:
         raise ScatFeatError(f"unknown config key {name!r}")
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
     try:
+        if kind != "bool" and any(isinstance(v, bool) for v in (raw, *items)):
+            raise ValueError  # int() and float() would take JSON true as 1
         if kind == "tuple":
-            items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
             value = tuple(float(v) for v in items if str(v).strip())
-        elif kind == "int" and isinstance(raw, (bool, float)):
-            raise ValueError  # int() would truncate 8.7 and take true as 1
+        elif kind == "int" and isinstance(raw, float):
+            raise ValueError  # int() would truncate 8.7
         else:
             value = {"int": int, "float": float, "str": str,
                      "bool": lambda v: str(v).lower() == "true"}[kind](raw)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, load_wav, resample
 from .config import FEATURE_KINDS, RunConfig, feature_config_hash
-from .errors import ScatFeatError
+from .errors import ScatFeatError, SignalTooShortError
 from .evaluation import FeatureRow, ManifestRow
 from .filterbank import cached_bank
 from .mfcc import mfcc_utterance
@@ -59,10 +59,15 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     Returns (feature_rows sorted by utterance_id, errors), where errors is a
     list of (utterance_id, message) for rows that failed. The kind's banks
     are built once, before any worker starts, so a config they reject
-    raises here before any WAV is read.
+    raises here before any WAV is read. So does an n too short for the two
+    MFCC frames that mfcc_stats pools, since every utterance is cut to n.
     """
     if n_workers is None:
         n_workers = os.cpu_count() or 1
+    if kind == "mfcc" and cfg.n < cfg.win_samples + cfg.hop_samples:
+        raise SignalTooShortError(
+            f"n={cfg.n} samples < {cfg.win_samples + cfg.hop_samples}, two MFCC "
+            f"frames (window {cfg.win_samples}, hop {cfg.hop_samples})")
     if kind != "mfcc":
         scattering_paths(cfg)
     if kind == "f-scatnet":

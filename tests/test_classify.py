@@ -13,6 +13,7 @@ from scatfeat.classify import (Standardizer, SvmModel,
                                svm_decision_values, svm_predict, svm_train)
 from scatfeat.classify import (_STD_FLOOR, _SV_TRUNCATE, MAX_SMO_ITER,
                                SOLVER_TOL)
+from scatfeat.config import RunConfig
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
                              InvalidSvmParamError, ScatFeatError,
                              TooFewRowsError)
@@ -40,16 +41,21 @@ def qp_reference(kernel, y, c):
     return sol.x
 
 
-def smo_reference(kernel, y, c, tol=SOLVER_TOL, max_iter=MAX_SMO_ITER):
+def smo_reference(kernel, y, c, tol=SOLVER_TOL, max_iter=MAX_SMO_ITER, masks=None):
     """smo_solve as a plain numpy loop that rebuilds the I_up / I_low masks
-    from alpha on every pass; smo_solve must reproduce it bit for bit."""
+    from alpha on every pass; smo_solve must reproduce it bit for bit. A
+    list passed as masks receives each pass's (I_up, I_low) boolean masks."""
     y = np.asarray(y, dtype=np.float64)
     alpha = np.zeros(y.size)
     v = y.copy()
     pos = y > 0
     for n_iter in range(max_iter + 1):
-        vi = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
-        vj = np.where(np.where(pos, alpha > 0.0, alpha < c), v, np.inf)
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        if masks is not None:
+            masks.append((up, low))
+        vi = np.where(up, v, -np.inf)
+        vj = np.where(low, v, np.inf)
         i = int(np.argmax(vi))
         j = int(np.argmin(vj))
         violation = vi[i] - vj[j]
@@ -88,6 +94,27 @@ def random_dual(seed):
     c = float(np.geomspace(0.01, 100.0, 9)[seed % 9])
     max_iter = (MAX_SMO_ITER, 1, 7)[seed % 3]
     return rbf_kernel(x, x, float(10.0 ** rng.uniform(-2, 1))), y, c, max_iter
+
+
+def emodb_sized_dual(seed):
+    """A binary dual the size of one class pair of an EmoDB-shaped LOSO
+    fold: (kernel, y, c). 100 to 180 rows of 392 dims in two overlapping
+    classes; seeds cycle through the default C grid, then through the
+    default gamma scales, divided by the dimension."""
+    rng = np.random.default_rng([seed, 392])
+    n = int(rng.integers(100, 181))
+    y = rng.permutation(np.where(np.arange(n) < rng.integers(n // 3, 2 * n // 3),
+                                 1.0, -1.0))
+    x = rng.normal(0, 1, (n, 392)) + 0.15 * y[:, None]
+    gamma = RunConfig.svm_gamma_scale[seed // 4 % 3] / 392
+    return rbf_kernel(x, x, gamma), y, RunConfig.svm_c[seed % 4]
+
+
+def leaves_and_returns(history):
+    """Whether some index leaves a set and later enters it again, given
+    the set's (passes, n) boolean membership masks."""
+    steps = np.diff(np.asarray(history, dtype=np.int8), axis=0)
+    return bool(np.any(np.logical_or.accumulate(steps == -1, axis=0) & (steps == 1)))
 
 
 def bits(result):
@@ -194,6 +221,29 @@ class TestSmoSolver:
             assert bits(smo_solve(kernel, y, c, max_iter=max_iter)) == bits(ref), seed
             capped += not ref[3]
         assert capped >= 150  # most of the 240 solves capped at 1 or 7 stop early
+
+    def test_matches_reference_on_emodb_sized_duals(self):
+        """Every cell of the default grid at EmoDB-pair size, with indices
+        that leave I_up or I_low and come back."""
+        returns = 0
+        for seed in range(12):
+            kernel, y, c = emodb_sized_dual(seed)
+            masks = []
+            ref = smo_reference(kernel, y, c, masks=masks)
+            assert ref[3] and bits(smo_solve(kernel, y, c)) == bits(ref), seed
+            up, low = zip(*masks)
+            returns += leaves_and_returns(up) or leaves_and_returns(low)
+        assert returns >= 1
+
+    def test_leaves_and_returns(self):
+        assert leaves_and_returns([[True, False], [False, False], [True, True]])
+        assert not leaves_and_returns([[False, True], [True, True], [True, False]])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_c_outside_open_interval(self, c):
+        kernel = rbf_kernel(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), 1.0)
+        with pytest.raises(InvalidSvmParamError, match="SVM C"):
+            smo_solve(kernel, np.array([1.0, -1.0]), c)
 
     def test_cap_at_the_converging_update(self, rng):
         x, y_lab = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 20, 0.6)

@@ -236,6 +236,19 @@ class TestBadConfigFailsOnce:
         assert error_lines(capsys) == ["error: t must be a power of two, got 1000"]
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("n", [200, 479])  # below one window, two frames
+    def test_mfcc_n_below_two_frames(self, mini_corpus, tmp_path, capsys,
+                                     monkeypatch, n):
+        calls = counting(monkeypatch, "load_wav")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("n=4096", f"n={n}"))
+        out = tmp_path / "feat.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--feature", "mfcc",
+                     "--config", str(cfg), "--out", str(out), "--threads", "4"]) == 2
+        assert error_lines(capsys) == [
+            f"error: n={n} samples < 480, two MFCC frames (window 320, hop 160)"]
+        assert calls == [] and not out.exists()
+
     def test_f_scatnet_wavelet_longer_than_the_axis(self, mini_corpus, tmp_path,
                                                     capsys, monkeypatch):
         calls = counting(monkeypatch, "time_scattering")

@@ -125,6 +125,16 @@ class TestConfig:
         with pytest.raises(ScatFeatError, match=f"config key '{key}'"):
             config_from_text(text)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"log_eps": true}', "log_eps"), ('{"log_eps": false}', "log_eps"),
+        ('{"svm_c": [true]}', "svm_c"), ('{"svm_c": [1.0, true]}', "svm_c"),
+        ('{"svm_c": true}', "svm_c"), ('{"svm_gamma_scale": [0.1, false]}',
+                                       "svm_gamma_scale"),
+    ])
+    def test_number_fields_reject_json_booleans(self, text, key):
+        with pytest.raises(ScatFeatError, match=f"config key '{key}': not a valid"):
+            config_from_text(text)
+
     @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
     def test_constructor_rejects(self, values, text, match):
         with pytest.raises(ScatFeatError, match=match):
