@@ -5,6 +5,14 @@ A model is stored in LIBSVM's one-vs-one layout (Chang & Lin, ACM TIST
 coefficient column per pair. The decision values of every pair for a batch
 of rows are then one kernel product, rbf_kernel(rows, support_vectors) @
 coef + bias.
+
+A grid search solves each distinct dual once. C enters the SMO only
+through the upper limit c - alpha of a step, the clamp at c, the
+membership tests alpha < c and the free-set test alpha < c - 1e-12, and
+rounding is monotone. So a solve at C = c that never cut a step at an
+upper limit and kept every alpha below c - 1e-12 (it reports bound_free)
+takes the same iterates at every larger C, and grid_search reuses it
+there, bit for bit, instead of solving again.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateClassError, DimensionMismatchError,
-                     InvalidSvmParamError, ScatFeatError, TooFewRowsError)
+                     InvalidSvmParamError, NonFiniteFeatureError,
+                     ScatFeatError, TooFewRowsError)
 
 # The solver iterates well past the contract so the decision function is
 # insensitive (within ~1e-6) to the training sample order.
@@ -48,6 +57,17 @@ def standardize_apply(s: Standardizer, x: np.ndarray) -> np.ndarray:
     return (x - s.mean) / s.std
 
 
+def _finite_rows(name: str, x) -> np.ndarray:
+    """x as a float64 matrix of rows; a NaN or infinity in it is a
+    NonFiniteFeatureError naming its row."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise NonFiniteFeatureError(
+            f"{name} row {int(np.argmin(finite))} holds a non-finite value")
+    return x
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """||u - v||^2 for all row pairs, clipped at 0 against rounding."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -72,17 +92,23 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
     working set go to the lowest index, which makes the solver
     deterministic for a fixed input order.
 
-    Returns (alpha, bias, kkt_residual, converged, n_iter); converged is
-    kkt_residual <= tol, also when the max_iter-th update reached it. c
-    must be a finite number > 0, else InvalidSvmParamError.
+    Returns (alpha, bias, kkt_residual, converged, n_iter, bound_free);
+    converged is kkt_residual <= tol, also when the max_iter-th update
+    reached it. bound_free says that no step was cut at an upper limit
+    c - alpha and that every alpha stayed below c - 1e-12, so the solve
+    at any larger C returns the same bits. c must be a finite number > 0,
+    else InvalidSvmParamError; y needs both signs, else
+    DegenerateClassError.
     """
     if not 0.0 < c < np.inf:  # not svm_axis: two-row solves are many and cheap
         raise InvalidSvmParamError(f"SVM C needs a finite value > 0, got {c}")
     kernel = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    pos_rows = y > 0
+    if pos_rows.all() or not pos_rows.any():  # the bias would be +-inf
+        raise DegenerateClassError("SMO needs labels of both signs")
     # Per-index scalars live in Python lists: one update touches two
     # entries, and numpy scalar access costs more than the arithmetic.
-    pos_rows = y > 0
     alpha = [0.0] * y.size
     pos = pos_rows.tolist()
     diag = kernel.diagonal().tolist()
@@ -98,6 +124,7 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
     # Negation is exact, so both rows round as v -= step * (K[i] - K[j]).
     rows = kernel[:, None, :] * np.array([[1.0], [-1.0]])
     delta = np.empty_like(w)
+    top, bound_free = c - _SV_TRUNCATE, True
     # Pass k checks the KKT conditions after k updates, so the pass that
     # stops the loop supplies the residual and the fallback bias.
     for n_iter in range(max_iter + 1):
@@ -110,17 +137,23 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
         step = violation / (_STD_FLOOR if _STD_FLOOR > quad else quad)
         # alpha_i moves along +y_i, alpha_j along -y_j; both stay in [0, c].
         # The comparisons below tie as min() and max() do: the first wins.
+        # A cut at an upper limit c - alpha would cut less at a larger C.
         pos_i, pos_j = pos[i], pos[j]
         limit = c - alpha[i] if pos_i else alpha[i]
         if limit < step:
             step = limit
+            bound_free = bound_free and not pos_i
         limit = alpha[j] if pos_j else c - alpha[j]
         if limit < step:
             step = limit
+            bound_free = bound_free and pos_j
         for k, moved in ((i, step if pos_i else -step), (j, -step if pos_j else step)):
             a = alpha[k] + moved
             a = 0.0 if 0.0 > a else a
-            alpha[k] = a = c if c < a else a
+            if a >= top:  # top <= c, so this also catches the clamp at c
+                bound_free = False
+                a = c if c < a else a
+            alpha[k] = a
             in_up = a < c if pos[k] else a > 0.0
             in_low = a > 0.0 if pos[k] else a < c
             if in_up != up[k] or in_low != low[k]:
@@ -134,12 +167,12 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
         w -= delta
 
     alpha = np.array(alpha)
-    free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
+    free = (alpha > _SV_TRUNCATE) & (alpha < top)
     if np.any(free):  # a free index is in I_up, so w[0] holds its v
         bias = float(np.mean(w[0][free]))
     else:
         bias = float((vi_max + vj_min) / 2.0)
-    return alpha, bias, float(violation), bool(violation <= tol), n_iter
+    return alpha, bias, float(violation), bool(violation <= tol), n_iter, bound_free
 
 
 def _class_pairs(n_classes: int) -> list[tuple[int, int]]:
@@ -196,21 +229,27 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     """
     svm_axis("C", [c])
     svm_axis("gamma", [gamma])
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite_rows("training", x)
     return _train_on_kernel(x, y, rbf_kernel(x, x, gamma), c, gamma, standardizer)
 
 
 def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
-                     gamma: float, standardizer: Standardizer | None = None
-                     ) -> SvmModel:
+                     gamma: float, standardizer: Standardizer | None = None,
+                     reusable: dict | None = None) -> SvmModel:
     """svm_train given kernel = rbf_kernel(x, x, gamma); each pair's Gram
-    matrix is a slice of it, and its alpha * y fills the pair's coef column."""
+    matrix is a slice of it, and its alpha * y fills the pair's coef column.
+
+    reusable maps a pair's column to a bound-free solve of this kernel at a
+    smaller C, which is also its solve at c; those pairs are not solved
+    again, and every new bound-free solve is added to it.
+    """
     labels = np.asarray(y)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise DegenerateClassError(f"need at least two classes, got {classes}")
     if standardizer is None:
         standardizer = Standardizer(np.zeros(x.shape[1]), np.ones(x.shape[1]))
+    reusable = {} if reusable is None else reusable
 
     pairs = _class_pairs(len(classes))
     coef = np.zeros((len(labels), len(pairs)))
@@ -219,8 +258,10 @@ def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
     for p, (ia, ib) in enumerate(pairs):
         sel = np.flatnonzero((labels == classes[ia]) | (labels == classes[ib]))
         ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
-        alpha, bias[p], residual[p], converged[p], _ = smo_solve(
-            kernel[np.ix_(sel, sel)], ys, c)
+        solve = reusable.get(p) or smo_solve(kernel[np.ix_(sel, sel)], ys, c)
+        alpha, bias[p], residual[p], converged[p], _, bound_free = solve
+        if bound_free:
+            reusable[p] = solve
         keep = alpha > _SV_TRUNCATE
         coef[sel[keep], p] = (alpha * ys)[keep]
     used = coef.any(axis=1)
@@ -230,7 +271,7 @@ def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
 
 def svm_decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Per-pair decision values for raw feature rows, shape (n, n_pairs)."""
-    xs = standardize_apply(model.standardizer, np.atleast_2d(x))
+    xs = standardize_apply(model.standardizer, _finite_rows("predicted", x))
     return rbf_kernel(xs, model.support_vectors, model.gamma) @ model.coef + model.bias
 
 
@@ -275,23 +316,35 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     model is the final one; it carries an identity standardizer, so feed
     it rows standardized like train. Ties prefer smaller c, then smaller
     gamma. An empty axis, or a value that is not a finite number > 0, is an
-    InvalidSvmParamError.
+    InvalidSvmParamError; a non-finite feature is a NonFiniteFeatureError.
+
+    C is walked in ascending order. A pair whose solve at some C was bound
+    free (see smo_solve) is not solved again at any larger C of the same
+    gamma: that solve is its solve there, bit for bit. A cell whose pairs
+    are all reused holds the model of the cell at the previous C, so its
+    validation UAR is one that already lost or tied, and it is skipped.
     """
     from .evaluation import confusion, uar  # metric lives with the harness
 
     c_values, gamma_values = svm_axis("C", c_values), svm_axis("gamma", gamma_values)
     x_train, y_train = train
-    x_train = np.asarray(x_train, dtype=np.float64)
     x_valid, y_valid = valid
+    x_train, x_valid = _finite_rows("training", x_train), _finite_rows("validation", x_valid)
     classes = tuple(sorted(set(list(y_train) + list(y_valid))))
-    # one distance matrix per call: each cell's kernel is exp(-gamma * sq),
-    # exactly what svm_train's rbf_kernel(x_train, x_train, gamma) computes
+    n_pairs = len(_class_pairs(len(np.unique(y_train))))
+    # one distance matrix per call and one kernel per gamma: exp(-gamma * sq)
+    # is exactly what svm_train's rbf_kernel(x_train, x_train, gamma) computes
     sq = sq_distances(x_train, x_train)
+    kernels = [np.exp(-gamma * sq) for gamma in gamma_values]
+    reusable = [{} for _ in gamma_values]  # per gamma: pair column -> solve
     best = None
     for c in c_values:
-        for gamma in gamma_values:
-            model = _train_on_kernel(x_train, y_train, np.exp(-gamma * sq), c, gamma)
-            pred = svm_predict(model, np.atleast_2d(x_valid))
+        for gamma, kernel, reuse in zip(gamma_values, kernels, reusable):
+            if reuse and len(reuse) == n_pairs:  # the previous C's model
+                continue
+            model = _train_on_kernel(x_train, y_train, kernel, c, gamma,
+                                     reusable=reuse)
+            pred = svm_predict(model, x_valid)
             score = uar(confusion(list(y_valid), list(pred), classes))
             if best is None or score > best.valid_uar:
                 best = GridSearchResult(c, gamma, score, model)

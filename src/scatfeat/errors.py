@@ -53,6 +53,10 @@ class DimensionMismatchError(ScatFeatError):
     """Feature dimension differs from what the model was trained on."""
 
 
+class NonFiniteFeatureError(ScatFeatError):
+    """A feature value is NaN or infinite."""
+
+
 class TooFewSpeakersError(ScatFeatError):
     """Leave-one-speaker-out needs at least three speakers."""
 

@@ -11,8 +11,8 @@ import numpy as np
 from .classify import (grid_search, standardize_apply, standardize_fit,
                        svm_predict)
 from .config import RunConfig
-from .errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
-                     TooFewSpeakersError, UnknownLabelError)
+from .errors import (DimensionMismatchError, EmptyMatrixError, ScatFeatError,
+                     TooFewRowsError, TooFewSpeakersError, UnknownLabelError)
 from .filterbank import FilterBankSpec
 
 
@@ -175,12 +175,18 @@ def run_loso(rows: list[FeatureRow], c_values=RunConfig.svm_c,
     winning cell's model, trained on all of train during the search,
     predicts the held-out test speaker without a retrain. The grid defaults
     to RunConfig's svm_c and svm_gamma_scale, the scales divided by the
-    feature dimension.
+    feature dimension. Rows of different dimensions are a
+    DimensionMismatchError naming the first that differs from rows[0].
     """
     if not rows:
         raise TooFewRowsError("LOSO evaluation needs feature rows, got none")
+    dim = rows[0].vector.shape[0]
+    for r in rows:
+        if r.vector.shape != (dim,):
+            raise DimensionMismatchError(
+                f"row {r.utterance_id!r} has {r.vector.size} dims, "
+                f"row {rows[0].utterance_id!r} has {dim}")
     if gamma_values is None:
-        dim = rows[0].vector.shape[0]
         gamma_values = tuple(s / dim for s in RunConfig.svm_gamma_scale)
     classes = tuple(sorted({r.label for r in rows}))
     x_all = np.stack([r.vector for r in rows])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, load_wav, resample
 from .config import FEATURE_KINDS, RunConfig, feature_config_hash
-from .errors import ScatFeatError, SignalTooShortError
+from .errors import NonFiniteFeatureError, ScatFeatError, SignalTooShortError
 from .evaluation import FeatureRow, ManifestRow
 from .filterbank import cached_bank
 from .mfcc import mfcc_utterance
@@ -102,7 +102,7 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
         if r.vector.shape[0] != dim:
             raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
         if not np.isfinite(r.vector).all():  # read_feature_file rejects them
-            raise ScatFeatError(f"{r.utterance_id}: non-finite value")
+            raise NonFiniteFeatureError(f"{r.utterance_id}: non-finite value")
     with open(path, "w", newline="") as fh:
         fh.write(f"#{FORMAT_TAG} kind={kind} dim={dim} config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -137,8 +137,9 @@ def read_feature_file(path):
             except ValueError as exc:
                 raise ScatFeatError(f"{path}:{reader.line_num + 1}: {exc}") from None
             if not np.isfinite(vec).all():
-                raise ScatFeatError(f"{path}:{reader.line_num + 1}: non-finite value "
-                                    f"{parts[3 + np.argmin(np.isfinite(vec))]!r}")
+                raise NonFiniteFeatureError(
+                    f"{path}:{reader.line_num + 1}: non-finite value "
+                    f"{parts[3 + np.argmin(np.isfinite(vec))]!r}")
             rows.append(FeatureRow(parts[0], parts[1], parts[2], vec))
     if not rows:
         raise ScatFeatError(f"{path}: no feature rows")

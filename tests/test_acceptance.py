@@ -214,7 +214,7 @@ def test_a8_svm():
     sel = xor_y == xor_y  # full-set residual recheck on the XOR problem
     kernel = rbf_kernel(xor_x[sel], xor_x[sel], 1.0)
     labels = np.where(xor_y == "a", 1.0, -1.0)
-    _, _, residual, converged, _ = smo_solve(kernel, labels, 10.0)
+    _, _, residual, converged, *_ = smo_solve(kernel, labels, 10.0)
     assert converged and residual <= 1e-3
     print(f"\nA8 PASS: blobs {blob_acc:.0%}, XOR {xor_acc:.0%}, "
           f"max KKT residual {max(residuals):.2e} <= 1e-3")

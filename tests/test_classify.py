@@ -15,8 +15,9 @@ from scatfeat.classify import (_STD_FLOOR, _SV_TRUNCATE, MAX_SMO_ITER,
                                SOLVER_TOL)
 from scatfeat.config import RunConfig
 from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
-                             InvalidSvmParamError, ScatFeatError,
-                             TooFewRowsError)
+                             InvalidSvmParamError, NonFiniteFeatureError,
+                             ScatFeatError, TooFewRowsError)
+from scatfeat.evaluation import confusion, uar
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -44,11 +45,16 @@ def qp_reference(kernel, y, c):
 def smo_reference(kernel, y, c, tol=SOLVER_TOL, max_iter=MAX_SMO_ITER, masks=None):
     """smo_solve as a plain numpy loop that rebuilds the I_up / I_low masks
     from alpha on every pass; smo_solve must reproduce it bit for bit. A
-    list passed as masks receives each pass's (I_up, I_low) boolean masks."""
+    list passed as masks receives each pass's (I_up, I_low) boolean masks.
+
+    bound_free comes from the loop's own quantities: no step was cut by an
+    upper limit c - alpha, and the largest alpha of any pass is below
+    c - 1e-12."""
     y = np.asarray(y, dtype=np.float64)
     alpha = np.zeros(y.size)
     v = y.copy()
     pos = y > 0
+    upper_cut, peak = False, 0.0
     for n_iter in range(max_iter + 1):
         up = np.where(pos, alpha < c, alpha > 0.0)
         low = np.where(pos, alpha > 0.0, alpha < c)
@@ -65,17 +71,21 @@ def smo_reference(kernel, y, c, tol=SOLVER_TOL, max_iter=MAX_SMO_ITER, masks=Non
         step = violation / quad
         limit_i = c - alpha[i] if pos[i] else alpha[i]
         limit_j = alpha[j] if pos[j] else c - alpha[j]
+        upper_cut |= ((pos[i] and limit_i < step) or
+                      (not pos[j] and limit_j < min(step, limit_i)))
         step = min(step, limit_i, limit_j)
         alpha[i] = min(max(alpha[i] + (step if pos[i] else -step), 0.0), c)
         alpha[j] = min(max(alpha[j] - (step if pos[j] else -step), 0.0), c)
         v -= step * (kernel[i] - kernel[j])
+        peak = max(peak, alpha.max())
 
     free = (alpha > _SV_TRUNCATE) & (alpha < c - _SV_TRUNCATE)
     if np.any(free):
         bias = float(np.mean(v[free]))
     else:
         bias = float((vi[i] + vj[j]) / 2.0)
-    return alpha, bias, float(violation), bool(violation <= tol), n_iter
+    bound_free = bool(not upper_cut and peak < c - _SV_TRUNCATE)
+    return alpha, bias, float(violation), bool(violation <= tol), n_iter, bound_free
 
 
 def random_dual(seed):
@@ -118,10 +128,12 @@ def leaves_and_returns(history):
 
 
 def bits(result):
-    """A solve's (alpha, bias, residual, converged, n_iter), bit for bit."""
-    alpha, bias, residual, converged, n_iter = result
+    """A solve's (alpha, bias, residual, converged, n_iter, bound_free), bit
+    for bit."""
+    alpha, bias, residual, converged, n_iter, bound_free = result
     return (alpha.dtype, alpha.tobytes(), bias.hex(), residual.hex(),
-            type(converged), converged, type(n_iter), n_iter)
+            type(converged), converged, type(n_iter), n_iter,
+            type(bound_free), bound_free)
 
 
 def vote_reference(model, decisions):
@@ -191,7 +203,7 @@ class TestSmoSolver:
             x, y_lab = blobs(rng, [("a", (0.6, 0.0)), ("b", (-0.6, 0.0))], 15, 0.5)
             y = np.where(y_lab == "a", 1.0, -1.0)
             kernel = rbf_kernel(x, x, 0.7)
-            alpha, bias, residual, converged, _ = smo_solve(kernel, y, c=5.0)
+            alpha, bias, residual, converged, *_ = smo_solve(kernel, y, c=5.0)
             assert converged and residual <= 1e-3
             ref = qp_reference(kernel, y, 5.0)
             obj_smo = dual_objective(kernel, y, alpha)
@@ -214,9 +226,14 @@ class TestSmoSolver:
         assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
 
     def test_matches_reference_bit_for_bit(self):
+        """Labels of one sign (every fourth seed) have no bias to solve for."""
         capped = 0
         for seed in range(360):
             kernel, y, c, max_iter = random_dual(seed)
+            if np.all(y == y[0]):
+                with pytest.raises(DegenerateClassError):
+                    smo_solve(kernel, y, c, max_iter=max_iter)
+                continue
             ref = smo_reference(kernel, y, c, max_iter=max_iter)
             assert bits(smo_solve(kernel, y, c, max_iter=max_iter)) == bits(ref), seed
             capped += not ref[3]
@@ -235,6 +252,64 @@ class TestSmoSolver:
             returns += leaves_and_returns(up) or leaves_and_returns(low)
         assert returns >= 1
 
+    def test_bound_free_solve_is_the_solve_at_every_larger_c(self):
+        """A solve that never reached C returns the same bits, and the same
+        recomputed KKT residual, at every larger C of the default grid."""
+        reused = 0
+        for seed in range(24):
+            kernel, y, c = emodb_sized_dual(seed)
+            solve = smo_solve(kernel, y, c)
+            if not solve[5]:
+                continue
+            for larger in (v for v in RunConfig.svm_c if v > c):
+                assert bits(smo_solve(kernel, y, larger)) == bits(solve), (seed, larger)
+                assert (kkt_residual(kernel, y, solve[0], larger) ==
+                        kkt_residual(kernel, y, solve[0], c))
+                reused += 1
+        assert reused >= 6
+
+    def test_alpha_that_touches_c_and_leaves_is_not_bound_free(self):
+        """Some alpha equals C on a pass and every alpha ends below
+        C - 1e-12: the membership tests differed from a larger C's, and so
+        do the bits."""
+        x, y, c = np.array([[0.0], [1.0], [-2.0]]), np.array([1.0, -1.0, -1.0]), 2.0
+        kernel = rbf_kernel(x, x, 1.0)
+        masks = []
+        ref = smo_reference(kernel, y, c, masks=masks)
+        up, low = (np.array(m) for m in zip(*masks))
+        assert np.any(np.where(y > 0, ~up, ~low))  # some alpha == c on a pass
+        assert np.all(ref[0] < c - _SV_TRUNCATE)
+        solve = smo_solve(kernel, y, c)
+        assert bits(solve) == bits(ref) and solve[5] is False
+        assert bits(smo_solve(kernel, y, 2.0 * c)) != bits(solve)
+
+    def test_step_cut_at_an_upper_limit_is_not_bound_free(self):
+        """No alpha equals C on any pass and all end far below it, but a
+        step was cut at an upper limit c - alpha on the way, so smo_solve,
+        like smo_reference, does not report the solve as reusable."""
+        x = np.random.default_rng([68, 11]).normal(0, 1, (6, 2))
+        y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        kernel, c = rbf_kernel(x, x, 0.2), 20.0
+        masks = []
+        ref = smo_reference(kernel, y, c, masks=masks)
+        up, low = (np.array(m) for m in zip(*masks))
+        assert not np.any(np.where(y > 0, ~up, ~low)) and ref[0].max() < c - 1.0
+        assert ref[5] is False and bits(smo_solve(kernel, y, c)) == bits(ref)
+
+    def test_bound_free_at_c_stays_bound_free_above(self):
+        kernel = rbf_kernel(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), 1.0)
+        y = np.array([1.0, -1.0])
+        # the unbounded optimum is alpha = 1 / (1 - k(0, 1)) = 1.58 on both rows
+        assert smo_solve(kernel, y, 1.5)[0].tolist() == [1.5, 1.5]
+        assert not smo_solve(kernel, y, 1.5)[5]
+        assert smo_solve(kernel, y, 1.6)[5]
+        assert bits(smo_solve(kernel, y, 1.6)) == bits(smo_solve(kernel, y, 1e6))
+
+    @pytest.mark.parametrize("y", [np.ones(3), -np.ones(3), np.ones(1)])
+    def test_labels_of_one_sign_rejected(self, y):
+        with pytest.raises(DegenerateClassError):
+            smo_solve(np.eye(len(y)), y, 1.0)
+
     def test_leaves_and_returns(self):
         assert leaves_and_returns([[True, False], [False, False], [True, True]])
         assert not leaves_and_returns([[False, True], [True, True], [True, False]])
@@ -249,14 +324,14 @@ class TestSmoSolver:
         x, y_lab = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 20, 0.6)
         y = np.where(y_lab == "a", 1.0, -1.0)
         kernel = rbf_kernel(x, x, 1.0)
-        alpha, bias, residual, converged, n = smo_solve(kernel, y, c=2.0)
+        alpha, bias, residual, converged, n, _ = smo_solve(kernel, y, c=2.0)
         assert converged and n > 1
         # the n-th update reaches tol: a cap of n must still report converged
         capped = smo_solve(kernel, y, c=2.0, max_iter=n)
         assert capped[3] is True and capped[4] == n
         assert np.array_equal(capped[0], alpha)
         assert (capped[1], capped[2]) == (bias, residual)
-        alpha_short, _, residual_short, converged_short, n_short = smo_solve(
+        alpha_short, _, residual_short, converged_short, n_short, _ = smo_solve(
             kernel, y, c=2.0, max_iter=n - 1)
         assert converged_short is False and n_short == n - 1
         assert residual_short > SOLVER_TOL
@@ -285,7 +360,7 @@ class TestSvmTrain:
         x, y_lab = blobs(rng, [("a", (1, 1)), ("b", (-1, -1))], 25, 0.8)
         y = np.where(y_lab == "a", 1.0, -1.0)
         kernel = rbf_kernel(x, x, 0.5)
-        alpha, bias, residual, converged, _ = smo_solve(kernel, y, c=3.0)
+        alpha, bias, residual, converged, *_ = smo_solve(kernel, y, c=3.0)
         assert kkt_residual(kernel, y, alpha, 3.0) == pytest.approx(residual)
         assert residual <= 1e-3
 
@@ -374,6 +449,35 @@ class TestSvmParams:
             grid_search((x, y), (x, y), c_values, gamma_values)
 
 
+class TestNonFiniteFeatures:
+    """A NaN or infinite feature is a NonFiniteFeatureError that names its
+    row, not a NaN bias or a UAR computed from NaN decision values."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_svm_train(self, rng, bad):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 5)
+        x[3, 1] = bad
+        with pytest.raises(NonFiniteFeatureError, match="training row 3"):
+            svm_train(x, y, 1.0, 0.5)
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_grid_search(self, rng, which):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 5)
+        xv = x.copy()
+        (x if which == "training" else xv)[7] = np.nan
+        with pytest.raises(NonFiniteFeatureError, match=f"{which} row 7"):
+            grid_search((x, y), (xv, y), [1.0], [0.5])
+
+    def test_svm_predict(self, rng):
+        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0))], 5)
+        model = svm_train(x, y, 1.0, 0.5)
+        with pytest.raises(NonFiniteFeatureError, match="row 0"):
+            svm_predict(model, np.array([np.nan, 0.0]))
+        x[2, 0] = np.inf
+        with pytest.raises(NonFiniteFeatureError, match="row 2"):
+            svm_predict(model, x)
+
+
 class TestSvmPredict:
     def test_support_vector_deep_inside(self, rng):
         x, y = blobs(rng, [("a", (3, 3)), ("b", (-3, -3))], 15, 0.1)
@@ -457,28 +561,72 @@ class TestGridSearch:
         assert (result.best_c, result.best_gamma) == (0.1, 0.5)
 
     def test_training_distances_built_once(self, rng, monkeypatch):
-        x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
-        xv, yv = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 4, 0.6)
-        shapes, n_svs = [], []
+        centers = [("a", (1.5, 0)), ("b", (-1.5, 0)), ("c", (0, 1.5))]
+        x, y = blobs(rng, centers, 10, 0.6)
+        xv, yv = blobs(rng, centers, 4, 0.6)
+        shapes, n_svs, solves = [], [], []
         sq_distances = scatfeat.classify.sq_distances
         train_on_kernel = scatfeat.classify._train_on_kernel
+        smo_solve_ = scatfeat.classify.smo_solve
 
         def counting(a, b):
             shapes.append((len(a), len(b)))
             return sq_distances(a, b)
 
-        def recording(*args):
-            model = train_on_kernel(*args)
+        def recording(*args, **kwargs):
+            model = train_on_kernel(*args, **kwargs)
             n_svs.append(len(model.support_vectors))
             return model
 
+        def solving(kernel, ys, c):
+            solve = smo_solve_(kernel, ys, c)
+            solves.append((c, solve[5]))
+            return solve
+
         monkeypatch.setattr(scatfeat.classify, "sq_distances", counting)
         monkeypatch.setattr(scatfeat.classify, "_train_on_kernel", recording)
-        grid_search((x, y), (xv, yv), [0.1, 10.0], [0.05, 2.0])
-        # the first call is the training rows' distances, then each cell
-        # compares the validation rows with its model's support vectors once
+        monkeypatch.setattr(scatfeat.classify, "smo_solve", solving)
+        grid_search((x, y), (xv, yv), [1.0, 10.0, 100.0], [0.05, 2.0])
+        # the first call is the training rows' distances, then each trained
+        # cell compares the validation rows with its model's support vectors
         assert shapes == [(30, 30)] + [(12, n) for n in n_svs]
-        assert len(n_svs) == 4
+        # C = 1 solves both gammas' 3 pairs. At C = 10 every pair of
+        # gamma = 2 is bound-free and none of gamma = 0.05, so C = 100
+        # trains gamma = 0.05 alone: 5 of the 6 cells, 15 solves.
+        assert [free for c, free in solves if c == 10.0] == [False] * 3 + [True] * 3
+        assert [c for c, _ in solves] == [1.0] * 6 + [10.0] * 6 + [100.0] * 3
+        assert len(n_svs) == 5
+
+    @pytest.mark.parametrize("centers, sigma, c_values, gamma_values", [
+        ([("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 0.6,
+         [0.1, 1.0, 10.0, 100.0], [0.05, 0.5, 2.0]),
+        ([("a", (2, 0)), ("b", (-2, 0)), ("c", (0, 2)), ("d", (0, -2))], 0.8,
+         [0.3, 3.0, 30.0], [0.1, 1.0]),
+        ([("a", (0.3, 0)), ("b", (-0.3, 0))], 1.0, [0.1, 1.0, 10.0, 100.0], [0.5, 5.0]),
+    ])
+    def test_matches_a_per_cell_svm_train_loop(self, rng, monkeypatch, centers,
+                                              sigma, c_values, gamma_values):
+        """Reused solves and skipped cells change nothing: the winner, its
+        UAR and its model's arrays are those of training every cell."""
+        x, y = blobs(rng, centers, 12, sigma)
+        xv, yv = blobs(rng, centers, 5, sigma)
+        classes = sorted(set(y))
+        best = None
+        for c in c_values:
+            for gamma in gamma_values:
+                model = svm_train(x, y, c, gamma)
+                score = uar(confusion(list(yv), list(svm_predict(model, xv)), classes))
+                if best is None or score > best[2]:
+                    best = (c, gamma, score, model)
+        calls = []
+        solve = scatfeat.classify.smo_solve
+        monkeypatch.setattr(scatfeat.classify, "smo_solve",
+                            lambda *args: calls.append(args[2]) or solve(*args))
+        result = grid_search((x, y), (xv, yv), c_values, gamma_values)
+        n_pairs = len(classes) * (len(classes) - 1) // 2
+        assert len(calls) < len(c_values) * len(gamma_values) * n_pairs  # some reuse
+        assert (result.best_c, result.best_gamma, result.valid_uar) == best[:3]
+        assert model_to_json(result.model) == model_to_json(best[3])
 
     def test_returns_the_winning_model(self, rng):
         x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)

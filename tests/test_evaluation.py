@@ -9,8 +9,10 @@ import scatfeat.classify
 from scatfeat.classify import (standardize_apply, standardize_fit, svm_predict,
                                svm_train)
 from scatfeat.config import RunConfig
-from scatfeat.errors import (EmptyMatrixError, ScatFeatError, TooFewRowsError,
-                             TooFewSpeakersError, UnknownLabelError)
+from scatfeat.errors import (DimensionMismatchError, EmptyMatrixError,
+                             NonFiniteFeatureError, ScatFeatError,
+                             TooFewRowsError, TooFewSpeakersError,
+                             UnknownLabelError)
 from scatfeat.evaluation import (ConfusionMatrix, FeatureRow, ManifestRow,
                                  accuracy, confusion, confusion_to_text,
                                  load_manifest, loso_splits,
@@ -196,23 +198,50 @@ class TestRunLoso:
         with pytest.raises(TooFewRowsError):
             run_loso([], **grid)
 
+    def test_rows_of_different_dimensions_rejected(self, rng):
+        rows = synthetic_feature_rows(rng)
+        rows[5] = FeatureRow(rows[5].utterance_id, rows[5].speaker_id,
+                             rows[5].label, rows[5].vector[:-1])
+        with pytest.raises(DimensionMismatchError, match=rows[5].utterance_id):
+            run_loso(rows, c_values=(1.0,), gamma_values=(0.1,))
+
+    def test_non_finite_features_rejected(self, rng):
+        rows = synthetic_feature_rows(rng)
+        rows[5].vector[2] = np.nan
+        with pytest.raises(NonFiniteFeatureError):
+            run_loso(rows, c_values=(1.0,), gamma_values=(0.1,))
+
     def test_experiment_without_rows_rejected(self):
         with pytest.raises(TooFewRowsError):
             run_experiment([], "mfcc", RunConfig())
 
     def test_one_solve_per_fold_cell_and_pair(self, rng, monkeypatch):
+        """Each (fold, gamma, pair) dual is solved at the smallest C, then
+        at each larger C until one solve is bound-free, and never after."""
         calls = []
         solve = scatfeat.classify.smo_solve
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting_solve(kernel, y, c):
+            result = solve(kernel, y, c)
+            calls.append(((kernel.tobytes(), y.tobytes()), c, result[5]))
+            return result
 
         monkeypatch.setattr(scatfeat.classify, "smo_solve", counting_solve)
-        run_loso(synthetic_feature_rows(rng), c_values=(1.0, 10.0),
+        c_values = (1.0, 10.0, 100.0)
+        run_loso(synthetic_feature_rows(rng), c_values=c_values,
                  gamma_values=(0.05, 0.5))
-        n_folds, n_cells, n_pairs = 4, 2 * 2, 3
-        assert len(calls) == n_folds * n_cells * n_pairs
+        by_dual = {}
+        for dual, c, bound_free in calls:
+            by_dual.setdefault(dual, []).append((c, bound_free))
+        n_folds, n_gammas, n_pairs = 4, 2, 3
+        assert len(by_dual) == n_folds * n_gammas * n_pairs
+        for solves in by_dual.values():
+            cs, free = zip(*solves)
+            assert cs == c_values[:len(cs)]
+            assert not any(free[:-1]) and (free[-1] or len(cs) == len(c_values))
+        # every dual reaches C = 1 and is bound-free at C = 10, so C = 100
+        # solves none of them: 48 solves instead of 72
+        assert len(calls) == len(by_dual) * 2
 
     def test_matches_a_retrain_with_the_fold_standardizer(self, rng):
         rows = synthetic_feature_rows(rng, per_cell=4)
