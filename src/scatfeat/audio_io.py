@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
-from .errors import CorruptHeaderError, UnsupportedEncodingError
+from .errors import (CorruptHeaderError, NonFiniteFeatureError,
+                     UnsupportedEncodingError)
 
 # The rate the scattering and MFCC stages expect.
 SAMPLE_RATE_HZ = 16000
@@ -57,7 +57,9 @@ def load_wav(path) -> Waveform:
     is averaged down to mono. Integer PCM is scaled to [-1, 1) by dividing
     by 32768.
 
-    Raises FileNotFoundError, CorruptHeaderError or UnsupportedEncodingError.
+    Raises FileNotFoundError, CorruptHeaderError, UnsupportedEncodingError,
+    or NonFiniteFeatureError for a NaN or infinite sample, which only a
+    float32 file can hold.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -110,6 +112,12 @@ def load_wav(path) -> Waveform:
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / full_scale
     if samples.size == 0:
         raise CorruptHeaderError(f"{path}: empty data chunk")
+    finite = np.isfinite(samples)
+    if not finite.all():  # before the downmix, which would warn on +-inf
+        i = int(np.argmin(finite))
+        raise NonFiniteFeatureError(
+            f"{path}: non-finite audio sample {samples[i]} at index "
+            f"{i // n_channels}, channel {i % n_channels}")
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels).mean(axis=1)
     return Waveform(samples, int(sample_rate))
@@ -125,6 +133,8 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         raise ValueError("target_hz must be positive")
     if target_hz == w.sample_rate_hz:
         return w
+    from scipy import signal  # about half of the package's import time
+
     g = math.gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g
     max_rate = max(up, down)

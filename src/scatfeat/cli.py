@@ -60,7 +60,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=_worker_count, default=None,
-                   help="worker threads, at least 1 (default: all cores)")
+                   help="worker threads, at least 1 (default: the CPUs this "
+                        "process may run on)")
 
     p = sub.add_parser("train", help="train one SVM on a feature file")
     p.add_argument("--features", required=True)

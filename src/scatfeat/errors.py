@@ -54,7 +54,7 @@ class DimensionMismatchError(ScatFeatError):
 
 
 class NonFiniteFeatureError(ScatFeatError):
-    """A feature value is NaN or infinite."""
+    """A feature value or audio sample is NaN or infinite."""
 
 
 class TooFewSpeakersError(ScatFeatError):

@@ -61,9 +61,12 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     are built once, before any worker starts, so a config they reject
     raises here before any WAV is read. So does an n too short for the two
     MFCC frames that mfcc_stats pools, since every utterance is cut to n.
+    n_workers defaults to the CPUs the process may run on, which taskset
+    or a cpuset can make fewer than the machine's.
     """
     if n_workers is None:
-        n_workers = os.cpu_count() or 1
+        n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     if kind == "mfcc" and cfg.n < cfg.win_samples + cfg.hop_samples:
         raise SignalTooShortError(
             f"n={cfg.n} samples < {cfg.win_samples + cfg.hop_samples}, two MFCC "

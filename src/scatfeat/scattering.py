@@ -22,10 +22,14 @@ input by the filter's response and inverts only the filter's band: a band
 of m = next_pow2(W) bins (W the width of the response's non-zero support)
 takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
 full-length inverse (see _moduli); each bank holds its filters' supports.
-Each low-pass is exact too: the convolution with phi sampled every hop
-splits into hop circular convolutions of length n_frames, done by rffts of
-that length against a cached table (see lowpass_average), so no path takes
-a full-length FFT.
+Each low-pass is one small matrix product, with no full-length FFT: phi
+sampled every hop is cached as taps over the frame offsets where it is
+above rounding, and a shift-and-add of the products over those offsets
+gives the frames (see lowpass_average). For the banks' Gaussian that keeps
+all 8 offsets at the default 8 frames per path, and 22 at 32 frames or
+more. A dropped offset holds only taps of at most 4 eps max|phi|, so a
+frame moves by at most 4 eps max|phi| sum|u| beyond the rounding of the
+exact circular convolution.
 
 Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
@@ -106,30 +110,40 @@ def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _polyphase_lowpass(lowpass: bytes, hop: int) -> np.ndarray:
-    """(n_frames // 2 + 1, hop) table: column b is the rfft of phi_b[d] =
-    phi[d * hop - b], phi = real(ifft(lowpass)), over d < n_frames. Keyed
-    on the low-pass's bytes, so every bank with the same (t, n_fft) shares
-    one."""
+def _lowpass_taps(lowpass: bytes, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(taps, offsets) of phi = real(ifft(lowpass)) at stride hop: row k of
+    taps holds phi[offsets[k] * hop - b] for b < hop (indices mod n_fft).
+    An offset whose taps are all at most 4 eps max|phi| holds only the
+    rounding that the ifft leaves in phi, and is dropped; at most n_fft
+    floats remain. The offsets ascend in their largest |tap|, so the
+    shift-and-add adds the smallest terms first. Keyed on the low-pass's
+    bytes, so every bank with the same (t, n_fft) shares one."""
     phi = np.real(sfft.ifft(np.frombuffer(lowpass)))
     n_fft = phi.shape[0]
-    d = np.arange(n_fft // hop)[:, None]
-    table = sfft.rfft(phi[(d * hop - np.arange(hop)[None, :]) % n_fft], axis=0)
-    table.flags.writeable = False
-    return table
+    taps = phi[(np.arange(n_fft // hop)[:, None] * hop - np.arange(hop)) % n_fft]
+    peak = np.max(np.abs(taps), axis=1)  # every sample of phi is one tap
+    offsets = np.argsort(peak, kind="stable")
+    offsets = offsets[peak[offsets] > 4 * np.finfo(np.float64).eps * peak.max()]
+    taps = taps[offsets]
+    taps.flags.writeable = offsets.flags.writeable = False
+    return taps, offsets
 
 
 def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     """Convolve path sequences with phi (circularly) and sample every `hop`
     samples. Accepts a single sequence or a matrix of them.
 
-    Split n = a * hop + b: each frame is the sum over b of the circular
-    convolutions, of length n_frames, of u_b[a] = u[a * hop + b] with
-    phi_b. So one rfft of length n_frames per b, a product with the cached
-    table of phi_b's rffts, a sum over b and one inverse rfft give the
-    frames exactly, at O(n_fft log n_frames) per path and an O(n_fft)
-    table. Tiny negative rounding residue is clamped so averaged moduli
-    stay non-negative.
+    Split n = a * hop + b: frame k is the sum over frame offsets d of
+    g_d[(k - d) mod n_frames], where g_d[a] = sum_b phi[d * hop - b] *
+    u[a * hop + b]. One small matrix product of the cached taps with the
+    (hop, n_frames) view of each sequence gives every g_d, and a
+    shift-and-add over d gives the frames, at O(n_fft * W) per path for
+    the W offsets kept. Only offsets where phi is rounding noise are
+    dropped (_lowpass_taps): each frame then differs from the exact
+    circular convolution by at most 4 eps max|phi| sum|u| beyond the
+    rounding of the sums. A phi that does not decay keeps every offset.
+    Tiny negative rounding residue is clamped so averaged moduli stay
+    non-negative.
     """
     u = np.asarray(u, dtype=np.float64)
     n_fft = lowpass.shape[0]
@@ -139,10 +153,13 @@ def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
     if hop < 1 or n_fft % hop != 0:
         raise ValueError(f"hop={hop} must divide n_fft={n_fft}")
     n_frames = n_fft // hop
-    table = _polyphase_lowpass(np.asarray(lowpass, dtype=np.float64).tobytes(), hop)
-    spectra = sfft.rfft(u.reshape(u.shape[:-1] + (n_frames, hop)), axis=-2)
-    frames = sfft.irfft(np.einsum("...kb,kb->...k", spectra, table), n=n_frames, axis=-1)
-    return np.maximum(frames, 0.0)
+    taps, offsets = _lowpass_taps(np.asarray(lowpass, dtype=np.float64).tobytes(), hop)
+    g = taps @ u.reshape(u.shape[:-1] + (n_frames, hop)).swapaxes(-1, -2)
+    frames = np.zeros(u.shape[:-1] + (n_frames,))
+    for d, g_d in zip(offsets, np.moveaxis(g, -2, 0)):
+        frames[..., d:] += g_d[..., :n_frames - d]
+        frames[..., :d] += g_d[..., n_frames - d:]
+    return np.maximum(frames, 0.0, out=frames)
 
 
 def _first_admissible(f1, bank2: FilterBank) -> int:

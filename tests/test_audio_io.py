@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatfeat.audio_io import Waveform, fix_length, load_wav, pad_or_crop_center, resample
-from scatfeat.errors import CorruptHeaderError, UnsupportedEncodingError
+from scatfeat.errors import (CorruptHeaderError, NonFiniteFeatureError,
+                             UnsupportedEncodingError)
 
-from testkit import FS, sine, write_wav_raw, write_wav_stdlib
+from testkit import FS, run_python, sine, write_wav_raw, write_wav_stdlib
 
 
 class TestLoadWav:
@@ -86,6 +89,20 @@ class TestLoadWav:
         with pytest.raises(CorruptHeaderError):
             load_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_non_finite_sample_rejected(self, tmp_path, bad, n_channels):
+        """Checked before the downmix: a stereo inf raises, not warns."""
+        x = np.zeros(200 * n_channels, dtype="<f4")
+        x[2 * 37 + 1] = bad  # frame 37, channel 1 in stereo; frame 75 in mono
+        path = tmp_path / "bad.wav"
+        write_wav_raw(path, 3, n_channels, FS, 32, x.tobytes())
+        where = "index 37, channel 1" if n_channels == 2 else "index 75, channel 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeatureError, match=f"bad.wav.*{where}"):
+                load_wav(path)
+
 
 class TestResample:
     def test_sine_48k_to_16k(self):
@@ -135,6 +152,18 @@ class TestResample:
     def test_bad_target(self, rng):
         with pytest.raises(ValueError):
             resample(Waveform(rng.standard_normal(10), FS), 0)
+
+    def test_scipy_signal_imported_only_to_resample(self):
+        """scipy.signal is most of the package's import time, and only a
+        rate other than 16 kHz needs it."""
+        out = run_python("import sys, scatfeat\n"
+                         "print('scipy.signal' in sys.modules)\n"
+                         "w = scatfeat.Waveform([0.0, 1.0, 0.0, -1.0], 8000)\n"
+                         "scatfeat.resample(w, 8000)\n"
+                         "print('scipy.signal' in sys.modules)\n"
+                         "scatfeat.resample(w, 16000)\n"
+                         "print('scipy.signal' in sys.modules)\n")
+        assert out.split() == ["False", "False", "True"]
 
 
 class TestFixLength:

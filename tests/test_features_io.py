@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatfeat import filterbank
+from scatfeat import features, filterbank
 from scatfeat.audio_io import Waveform
 from scatfeat.config import (RunConfig, config_from_text, config_to_text,
                              feature_config_hash, load_config)
@@ -353,6 +353,25 @@ class TestExtractMany:
         rows, errors = extract_many(manifest, kind, SMALL, n_workers=4)
         assert len(rows) == 6 and errors == []
         assert len(specs) == builds == len(set(specs))
+
+    def test_default_pool_is_the_usable_cpus(self, tmp_path, rng, monkeypatch):
+        """Sized by the affinity mask, not the machine's CPU count."""
+        p = tmp_path / "w.wav"
+        write_wav_pcm16(p, bandlimited_noise(rng, 4096), FS)
+        sizes = []
+        pool = features.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(features, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(features.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(features.os, "cpu_count", lambda: 64)
+        rows, errors = extract_many([ManifestRow("u", str(p), "s", "x")], "mfcc", SMALL)
+        assert len(rows) == 1 and errors == []
+        assert sizes == [3]
 
     def test_parallel_matches_serial(self, tmp_path, rng):
         manifest = []

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from scatfeat.scattering import (frequency_scattering, lowpass_average,
                                  next_pow2, scattering_paths, time_scattering,
                                  wavelet_modulus)
 
-from testkit import FS, bandlimited_noise
+from testkit import FS, bandlimited_noise, run_python
 
 # Small, fast configuration shared across this module; n == n_fft so circular
 # shifts of the input are true circular shifts of the transform input.
@@ -174,7 +175,7 @@ class TestLowpassAverage:
         u = np.abs(rng.standard_normal((5, N_FFT)))
         want = reference_lowpass_average(u, BANK1.lowpass, CFG.hop)
         assert_rows_close(lowpass_average(u, BANK1.lowpass, CFG.hop), want)
-        # The table is keyed on values: a copy of the low-pass gives the
+        # The taps are keyed on values: a copy of the low-pass gives the
         # same frames, and so does one that was changed and changed back.
         lowpass = BANK1.lowpass.copy()
         assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
@@ -183,16 +184,16 @@ class TestLowpassAverage:
         lowpass[0] = BANK1.lowpass[0]
         assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
 
-    @pytest.mark.parametrize("t", [16384, 512, 64])
+    @pytest.mark.parametrize("t", [16384, 512, 64, 16])
     def test_memory_does_not_grow_with_frames(self, rng, t):
-        """The cached table holds about n_fft / 2 complex values at every t.
-        A dense (n_fft, n_frames) averaging matrix would take 1 GiB at
-        n_fft = 65536 and t = 64 (2048 frames per row)."""
+        """The cached taps hold at most n_fft floats at every t. A dense
+        (n_fft, n_frames) averaging matrix would take 1 GiB at n_fft =
+        65536 and t = 64 (2048 frames per row)."""
         n_fft = 65536
         lowpass = cached_bank(1, t, n_fft).lowpass
         u = np.abs(rng.standard_normal((3, n_fft)))
         want = reference_lowpass_average(u, lowpass, t // 2)
-        scattering._polyphase_lowpass.cache_clear()
+        scattering._lowpass_taps.cache_clear()
         tracemalloc.start()
         try:
             got = lowpass_average(u, lowpass, t // 2)
@@ -200,19 +201,32 @@ class TestLowpassAverage:
         finally:
             tracemalloc.stop()
         assert_rows_close(got, want)
-        table = scattering._polyphase_lowpass(lowpass.tobytes(), t // 2)
-        assert table.size <= n_fft // 2 + t // 2
+        hop = t // 2
+        taps, offsets = scattering._lowpass_taps(lowpass.tobytes(), hop)
+        assert taps.nbytes <= 8 * n_fft
+        # every dropped tap is rounding noise of phi
+        phi = np.real(sfft.ifft(lowpass))
+        dropped = np.setdiff1d(np.arange(n_fft // hop), offsets)
+        dropped_taps = phi[(dropped[:, None] * hop - np.arange(hop)) % n_fft]
+        assert np.all(np.abs(dropped_taps) <= 4 * np.finfo(float).eps * np.abs(phi).max())
         assert peak < 4 * 16 * u.size  # a few complex copies of u
 
     @pytest.mark.parametrize("n, hop", [(9, 3), (15, 5), (27, 9), (12, 3), (16, 4),
                                         (99, 1), (256, 4), (512, 2)])
     def test_matches_full_length_convolution(self, rng, n, hop):
+        """Odd and even lengths, and a phi that does not decay: a random
+        positive even spectrum keeps every frame offset. (The banks'
+        Gaussian drops most offsets at many frames; see
+        test_memory_does_not_grow_with_frames.)"""
         u = np.abs(rng.standard_normal(n))
-        lowpass = np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2)  # real, even
-        direct = np.real(np.fft.ifft(np.fft.fft(u) * lowpass))[::hop]
-        frames = lowpass_average(u, lowpass, hop)
-        assert frames.shape == (n // hop,)
-        assert np.max(np.abs(frames - np.maximum(direct, 0.0))) < 1e-12
+        half = rng.uniform(0.5, 1.5, n // 2 + 1)
+        flat = np.concatenate([half, half[(n - 1) // 2:0:-1]])
+        assert len(scattering._lowpass_taps(flat.tobytes(), hop)[1]) == n // hop
+        for lowpass in (np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2), flat):  # real, even
+            direct = np.real(np.fft.ifft(np.fft.fft(u) * lowpass))[::hop]
+            frames = lowpass_average(u, lowpass, hop)
+            assert frames.shape == (n // hop,)
+            assert np.max(np.abs(frames - np.maximum(direct, 0.0))) < 1e-12
 
 
 class TestTimeScattering:
@@ -255,6 +269,25 @@ class TestTimeScattering:
     def test_non_negative(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         assert np.all(time_scattering(Waveform(x, FS), CFG) >= 0.0)
+
+    def test_same_bytes_with_one_blas_thread(self):
+        """The low-pass's matrix products give the same frames whatever
+        number of threads the BLAS library runs, here at CFG and at the
+        default config."""
+        code = ("import hashlib, numpy as np\n"
+                "from scatfeat import RunConfig, Waveform, time_scattering\n"
+                "for cfg in (RunConfig(q1=3, t=1024, n=4096), RunConfig()):\n"
+                "    x = 0.1 * np.random.default_rng(7).standard_normal(cfg.n)\n"
+                "    frames = time_scattering(Waveform(x, 16000), cfg)\n"
+                "    print(hashlib.sha256(frames.tobytes()).hexdigest())\n")
+        want = []
+        for cfg in (CFG, RunConfig()):
+            x = 0.1 * np.random.default_rng(7).standard_normal(cfg.n)
+            frames = time_scattering(Waveform(x, FS), cfg)
+            want.append(hashlib.sha256(frames.tobytes()).hexdigest())
+        one = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+        assert run_python(code, **one).split() == want
 
     def test_wrong_sample_rate(self):
         with pytest.raises(SampleRateError):
@@ -327,14 +360,14 @@ class TestFullLengthOracle:
         assert_rows_close(time_scattering(w, cfg), frames)
 
     def test_tables_built_once(self, rng, monkeypatch):
-        """Supports are built with a bank, the low-pass table once per
+        """Supports are built with a bank, the low-pass taps once per
         low-pass and each twiddle table once per band width: none of them
         per utterance or per row."""
         time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)  # banks
         supports = []
         monkeypatch.setattr(filterbank, "band_supports",
                             lambda r: supports.append(r) or ())
-        tables = (scattering._polyphase_lowpass, scattering._twiddles)
+        tables = (scattering._lowpass_taps, scattering._twiddles)
         for table in tables:
             table.cache_clear()
         for _ in range(3):

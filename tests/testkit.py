@@ -2,10 +2,15 @@
 MFCC reference. Imported by name, so the module name is unique across
 every test directory; fixtures stay in conftest.py."""
 
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
+import scatfeat
 
 FS = 16000
 
@@ -90,3 +95,15 @@ def reference_mfcc(x):
         power = np.abs(spectrum[: n_fft // 2 + 1]) ** 2
         out[:, j] = dct @ np.log(tri @ power + 1e-10)
     return out
+
+
+def run_python(code, **env):
+    """stdout of `python -c code` in a fresh interpreter that imports the
+    scatfeat these tests import, with env added to the environment."""
+    src = str(Path(scatfeat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
