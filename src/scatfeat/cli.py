@@ -40,7 +40,10 @@ def _worker_count(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    values = [int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one integer, got {text!r}")
+    return values
 
 
 def _load_run_config(path: str | None) -> RunConfig:

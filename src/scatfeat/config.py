@@ -87,10 +87,6 @@ class RunConfig:
     def n_fft(self) -> int:
         return next_pow2(self.n)
 
-    @property
-    def hop(self) -> int:
-        return self.t // 2
-
 
 # Keys that once were settable and can take only these values now. Configs
 # that carry them still load, and hashes still include them, so every
@@ -134,8 +130,11 @@ def config_from_text(text: str) -> RunConfig:
     text = text.strip()
     values = {}
     if text.startswith("{"):
-        for key, val in json.loads(text).items():
-            values[key] = _parse_value(key, val)
+        try:
+            pairs = json.loads(text).items()
+        except json.JSONDecodeError as exc:
+            raise ScatFeatError(f"malformed JSON config: {exc}") from None
+        values = {key: _parse_value(key, val) for key, val in pairs}
     else:
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -149,8 +148,13 @@ def config_from_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    """config_from_text on a file; its errors keep their type and name the
+    file."""
+    try:
+        with open(path) as fh:
+            return config_from_text(fh.read())
+    except ScatFeatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def config_to_text(cfg: RunConfig) -> str:

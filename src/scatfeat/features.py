@@ -96,7 +96,10 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
                        config_hash: str) -> None:
     """Write `#SCATFEAT v1 kind=<kind> dim=<d> config_hash=<hex>` plus one
     CSV row per utterance, floats at 17 significant digits, sorted by id.
-    Ids and labels holding a comma or a quote are CSV-quoted."""
+    Ids and labels holding a comma or a quote are CSV-quoted. kind must be
+    one of FEATURE_KINDS."""
+    if kind not in FEATURE_KINDS:
+        raise ScatFeatError(f"unknown feature kind {kind!r}")
     rows = sorted(rows, key=lambda r: r.utterance_id)
     if not rows:
         raise ScatFeatError("no feature rows to write")
@@ -115,7 +118,8 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
 
 
 def read_feature_file(path):
-    """Parse a SCATFEAT v1 file; returns (kind, config_hash, rows)."""
+    """Parse a SCATFEAT v1 file; returns (kind, config_hash, rows). A kind
+    outside FEATURE_KINDS is rejected."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"#{FORMAT_TAG} "):
@@ -125,6 +129,8 @@ def read_feature_file(path):
             kind, dim, config_hash = meta["kind"], int(meta["dim"]), meta["config_hash"]
         except (KeyError, ValueError):
             raise ScatFeatError(f"{path}: malformed header {header!r}") from None
+        if kind not in FEATURE_KINDS:
+            raise ScatFeatError(f"{path}:1: unknown feature kind {kind!r}")
         if dim < 1:
             raise ScatFeatError(f"{path}:1: dim must be at least 1, got {dim}")
         rows = []

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 
 from .audio_io import SAMPLE_RATE_HZ
 from .errors import InvalidSpecError
@@ -60,6 +61,11 @@ class FilterBankSpec:
     t: int
     n_fft: int
 
+    @property
+    def hop(self) -> int:
+        """Spacing of the low-pass's frames in samples: t/2."""
+        return self.t // 2
+
     def validate(self) -> None:
         if self.q < 1:
             raise InvalidSpecError(f"q must be >= 1, got {self.q}")
@@ -91,17 +97,24 @@ class BandpassFilter:
 @dataclass(frozen=True)
 class FilterBank:
     """Band-pass filters, the low-pass and their spec; responses stacks
-    every band-pass gain as an (n_filters, n_fft) matrix, and supports
-    holds each row's non-zero band (see band_supports)."""
+    every band-pass gain as an (n_filters, n_fft) matrix, supports holds
+    each row's non-zero band (see band_supports), and taps and tap_offsets
+    hold phi sampled every spec.hop over its frame offsets (see
+    lowpass_taps)."""
 
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
     spec: FilterBankSpec
     responses: np.ndarray
     supports: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    taps: np.ndarray = field(init=False, repr=False)
+    tap_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "supports", band_supports(self.responses))
+        taps, offsets = lowpass_taps(self.lowpass, self.spec.hop)
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "tap_offsets", offsets)
 
     @property
     def center_freqs(self) -> np.ndarray:
@@ -127,6 +140,25 @@ def band_supports(responses: np.ndarray) -> tuple[tuple[int, int], ...]:
         k = int(np.argmax(gaps))  # the longest zero run ends the support
         supports.append((int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)))
     return tuple(supports)
+
+
+def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(taps, offsets) of phi = real(ifft(lowpass)) at stride hop: row k of
+    taps holds phi[offsets[k] * hop - b] for b < hop (indices mod n_fft).
+    An offset whose taps are all at most 4 eps max|phi| holds only the
+    rounding that the ifft leaves in phi, and is dropped; at most n_fft
+    floats remain. The offsets ascend in their largest |tap|, so the
+    shift-and-add of scattering.lowpass_average adds the smallest terms
+    first. Both arrays are read-only."""
+    phi = np.real(sfft.ifft(lowpass))
+    n_fft = phi.shape[0]
+    taps = phi[(np.arange(n_fft // hop)[:, None] * hop - np.arange(hop)) % n_fft]
+    peak = np.max(np.abs(taps), axis=1)  # every sample of phi is one tap
+    offsets = np.argsort(peak, kind="stable")
+    offsets = offsets[peak[offsets] > 4 * np.finfo(np.float64).eps * peak.max()]
+    taps = taps[offsets]
+    taps.flags.writeable = offsets.flags.writeable = False
+    return taps, offsets
 
 
 def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
@@ -223,14 +255,13 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
 
     # Global rescale: largest s with max over bins of
     # |phi|^2 + s * psi_sum <= 1. phi keeps unit DC gain.
-    psi_sq = responses ** 2
-    mirrored = psi_sq[:, (-np.arange(n_fft)) % n_fft]
-    psi_sum = 0.5 * (psi_sq.sum(axis=0) + mirrored.sum(axis=0))
+    psi_sum = _wavelet_energy(responses)
     head = lowpass**2
     mask = psi_sum > 1e-12
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
     responses = responses * scale
-    responses.flags.writeable = False  # banks are cached and shared
+    # banks are cached and shared, and the taps are built from phi
+    responses.flags.writeable = lowpass.flags.writeable = False
     filters = tuple(
         BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
                        response, region)
@@ -244,14 +275,16 @@ def cached_bank(q: int, t: int, n_fft: int) -> FilterBank:
     return build_morlet_bank(FilterBankSpec(q, t, n_fft))
 
 
+def _wavelet_energy(responses: np.ndarray) -> np.ndarray:
+    """Per-bin 1/2 sum_lambda (|psi(w)|^2 + |psi(-w)|^2) over the rows."""
+    sq = responses**2
+    n_fft = sq.shape[1]
+    return 0.5 * (sq.sum(axis=0) + sq[:, (-np.arange(n_fft)) % n_fft].sum(axis=0))
+
+
 def littlewood_paley_sum(bank: FilterBank) -> np.ndarray:
     """Per-bin sum |phi(w)|^2 + 1/2 sum_lambda (|psi(w)|^2 + |psi(-w)|^2)."""
-    n_fft = bank.spec.n_fft
-    total = bank.lowpass**2
-    if bank.filters:
-        sq = bank.responses**2
-        total = total + 0.5 * (sq.sum(axis=0) + sq[:, (-np.arange(n_fft)) % n_fft].sum(axis=0))
-    return total
+    return bank.lowpass**2 + _wavelet_energy(bank.responses)
 
 
 def littlewood_paley_bounds(bank: FilterBank) -> dict:

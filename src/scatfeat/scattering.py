@@ -22,14 +22,14 @@ input by the filter's response and inverts only the filter's band: a band
 of m = next_pow2(W) bins (W the width of the response's non-zero support)
 takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
 full-length inverse (see _moduli); each bank holds its filters' supports.
-Each low-pass is one small matrix product, with no full-length FFT: phi
-sampled every hop is cached as taps over the frame offsets where it is
-above rounding, and a shift-and-add of the products over those offsets
-gives the frames (see lowpass_average). For the banks' Gaussian that keeps
-all 8 offsets at the default 8 frames per path, and 22 at 32 frames or
-more. A dropped offset holds only taps of at most 4 eps max|phi|, so a
-frame moves by at most 4 eps max|phi| sum|u| beyond the rounding of the
-exact circular convolution.
+Each low-pass is one small matrix product, with no full-length FFT: each
+bank holds phi sampled every hop as taps over the frame offsets where it is
+above rounding, built once with the bank, and a shift-and-add of the
+products over those offsets gives the frames (see lowpass_average). For
+the banks' Gaussian that keeps all 8 offsets at the default 8 frames per
+path, and 22 at 32 frames or more. A dropped offset holds only taps of at
+most 4 eps max|phi|, so a frame moves by at most 4 eps max|phi| sum|u|
+beyond the rounding of the exact circular convolution.
 
 Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
@@ -109,54 +109,33 @@ def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     return _moduli(sfft.fft(x), bank.responses, bank.supports)
 
 
-@lru_cache(maxsize=8)
-def _lowpass_taps(lowpass: bytes, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(taps, offsets) of phi = real(ifft(lowpass)) at stride hop: row k of
-    taps holds phi[offsets[k] * hop - b] for b < hop (indices mod n_fft).
-    An offset whose taps are all at most 4 eps max|phi| holds only the
-    rounding that the ifft leaves in phi, and is dropped; at most n_fft
-    floats remain. The offsets ascend in their largest |tap|, so the
-    shift-and-add adds the smallest terms first. Keyed on the low-pass's
-    bytes, so every bank with the same (t, n_fft) shares one."""
-    phi = np.real(sfft.ifft(np.frombuffer(lowpass)))
-    n_fft = phi.shape[0]
-    taps = phi[(np.arange(n_fft // hop)[:, None] * hop - np.arange(hop)) % n_fft]
-    peak = np.max(np.abs(taps), axis=1)  # every sample of phi is one tap
-    offsets = np.argsort(peak, kind="stable")
-    offsets = offsets[peak[offsets] > 4 * np.finfo(np.float64).eps * peak.max()]
-    taps = taps[offsets]
-    taps.flags.writeable = offsets.flags.writeable = False
-    return taps, offsets
-
-
-def lowpass_average(u: np.ndarray, lowpass: np.ndarray, hop: int) -> np.ndarray:
-    """Convolve path sequences with phi (circularly) and sample every `hop`
-    samples. Accepts a single sequence or a matrix of them.
+def lowpass_average(u: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Convolve path sequences with the bank's phi (circularly) and sample
+    every hop = bank.spec.hop samples. Accepts a single sequence or a
+    matrix of them.
 
     Split n = a * hop + b: frame k is the sum over frame offsets d of
     g_d[(k - d) mod n_frames], where g_d[a] = sum_b phi[d * hop - b] *
-    u[a * hop + b]. One small matrix product of the cached taps with the
+    u[a * hop + b]. One small matrix product of the bank's taps with the
     (hop, n_frames) view of each sequence gives every g_d, and a
     shift-and-add over d gives the frames, at O(n_fft * W) per path for
     the W offsets kept. Only offsets where phi is rounding noise are
-    dropped (_lowpass_taps): each frame then differs from the exact
-    circular convolution by at most 4 eps max|phi| sum|u| beyond the
+    dropped (filterbank.lowpass_taps): each frame then differs from the
+    exact circular convolution by at most 4 eps max|phi| sum|u| beyond the
     rounding of the sums. A phi that does not decay keeps every offset.
     Tiny negative rounding residue is clamped so averaged moduli stay
     non-negative.
     """
     u = np.asarray(u, dtype=np.float64)
-    n_fft = lowpass.shape[0]
+    n_fft = bank.spec.n_fft
     if u.shape[-1] != n_fft:
         raise LengthMismatchError(
-            f"sequence length {u.shape[-1]} does not match lowpass length {n_fft}")
-    if hop < 1 or n_fft % hop != 0:
-        raise ValueError(f"hop={hop} must divide n_fft={n_fft}")
+            f"sequence length {u.shape[-1]} does not match bank n_fft={n_fft}")
+    hop = bank.spec.hop
     n_frames = n_fft // hop
-    taps, offsets = _lowpass_taps(np.asarray(lowpass, dtype=np.float64).tobytes(), hop)
-    g = taps @ u.reshape(u.shape[:-1] + (n_frames, hop)).swapaxes(-1, -2)
+    g = bank.taps @ u.reshape(u.shape[:-1] + (n_frames, hop)).swapaxes(-1, -2)
     frames = np.zeros(u.shape[:-1] + (n_frames,))
-    for d, g_d in zip(offsets, np.moveaxis(g, -2, 0)):
+    for d, g_d in zip(bank.tap_offsets, np.moveaxis(g, -2, 0)):
         frames[..., d:] += g_d[..., :n_frames - d]
         frames[..., :d] += g_d[..., n_frames - d:]
     return np.maximum(frames, 0.0, out=frames)
@@ -199,13 +178,12 @@ def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
     bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
 
     u1 = wavelet_modulus(x, bank1)
-    blocks = [lowpass_average(x, bank1.lowpass, cfg.hop)[None, :],
-              lowpass_average(u1, bank1.lowpass, cfg.hop)]
+    blocks = [lowpass_average(x, bank1)[None, :], lowpass_average(u1, bank1)]
     for u, f1 in zip(u1, bank1.filters):
         first = _first_admissible(f1, bank2)
         if first < len(bank2.filters):
             u2 = _moduli(sfft.fft(u), bank2.responses[first:], bank2.supports[first:])
-            blocks.append(lowpass_average(u2, bank1.lowpass, cfg.hop))
+            blocks.append(lowpass_average(u2, bank1))
     return np.concatenate(blocks)
 
 

@@ -177,7 +177,7 @@ class TestBadSvmGrid:
         report_dir = tmp_path / "rep"
         assert main(["evaluate", "--features", str(feature_file), "--grid", str(grid),
                      "--report-dir", str(report_dir)]) == 2
-        assert "error: SVM " in capsys.readouterr().err
+        assert f"error: {grid}: SVM " in capsys.readouterr().err
         assert not report_dir.exists()
 
     @pytest.mark.parametrize("line", ["svm_c=0", "svm_c=", "svm_gamma_scale=-1"])
@@ -189,7 +189,7 @@ class TestBadSvmGrid:
         assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
                      "--t", "512", "--config", str(cfg), "--threads", "1",
                      "--report-dir", str(tmp_path / "rep")]) == 2
-        assert "error: SVM " in capsys.readouterr().err
+        assert f"error: {cfg}: SVM " in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("c, gamma", [("-1", "0.1"), ("0", "0.1"), ("1", "0"),
@@ -269,6 +269,8 @@ class TestBadFeatureFile:
          "feat.csv:1: dim must be at least 1"),
         ("#SCATFEAT v1 kind=mfcc dim=1 config_hash=x\nu0,s0,a,1\nu1,s1,b,nan\n"
          "u2,s2,a,2\n", "feat.csv:3: non-finite value 'nan'"),
+        ("#SCATFEAT v1 kind=bogus dim=1 config_hash=x\nu0,s0,a,1\nu1,s1,b,2\n"
+         "u2,s2,a,3\n", "feat.csv:1: unknown feature kind 'bogus'"),
     ])
     def test_evaluate_exits_2(self, tmp_path, capsys, body, message):
         feat = tmp_path / "feat.csv"
@@ -327,6 +329,29 @@ class TestThreads:
             main(command + ["--threads", threads])
         assert exc.value.code == 1
         assert f"must be at least 1, got {int(threads)}" in capsys.readouterr().err
+
+
+class TestEmptyIntList:
+    @pytest.mark.parametrize("q, t", [(",", "512"), ("3", "")])
+    def test_is_a_usage_error(self, mini_corpus, tmp_path, capsys, q, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--manifest", str(mini_corpus), "--q", q, "--t", t,
+                  "--report-dir", str(tmp_path / "rep")])
+        assert exc.value.code == 1
+        assert "needs at least one integer" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+
+class TestMalformedJsonConfig:
+    def test_extract_exits_2_naming_the_file(self, mini_corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        out = tmp_path / "feat.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: malformed JSON")
+        assert not out.exists()
 
 
 class TestSweep:

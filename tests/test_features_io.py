@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from scatfeat import features, filterbank
 from scatfeat.audio_io import Waveform
 from scatfeat.config import (RunConfig, config_from_text, config_to_text,
                              feature_config_hash, load_config)
-from scatfeat.errors import ScatFeatError
+from scatfeat.errors import InvalidSpecError, ScatFeatError
 from scatfeat.evaluation import FeatureRow, ManifestRow
 from scatfeat.features import (extract_many, extract_vector,
                                read_feature_file, write_feature_file)
@@ -114,7 +115,7 @@ class TestConfig:
         assert [f.name for f in fields(RunConfig)] == [
             "feature_kind", "q1", "t", "n", "f_wavelet_len", "log_eps", "svm_c",
             "svm_gamma_scale"]
-        assert not hasattr(RunConfig, "validate")
+        assert not hasattr(RunConfig, "validate") and not hasattr(RunConfig, "hop")
         assert (RunConfig.win_samples, RunConfig.hop_samples) == (320, 160)
 
     @pytest.mark.parametrize("text, key", [
@@ -153,6 +154,20 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ScatFeatError):
             config_from_text("bogus=1\n")
+
+    def test_malformed_json(self, tmp_path):
+        with pytest.raises(ScatFeatError, match="^malformed JSON config: "):
+            config_from_text("{bad")
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        with pytest.raises(ScatFeatError, match=f"^{re.escape(str(path))}: malformed JSON"):
+            load_config(path)
+
+    def test_load_config_names_the_file_and_keeps_the_type(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("t=8192\nn=0\n")
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(str(path))}: n must"):
+            load_config(path)
 
     def test_hash_depends_on_kind_and_params(self):
         a = feature_config_hash(SMALL, "scatnet")
@@ -250,6 +265,18 @@ class TestFeatureFile:
         write_feature_file(p1, "mfcc", rows, "abc123")
         write_feature_file(p2, "mfcc", list(reversed(rows)), "abc123")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unknown_kind_writes_nothing(self, tmp_path, rng):
+        path = tmp_path / "f.csv"
+        with pytest.raises(ScatFeatError, match="unknown feature kind 'bogus'"):
+            write_feature_file(path, "bogus", self.rows(rng), "abc123")
+        assert not path.exists()
+
+    def test_unknown_kind_rejected_on_read(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=bogus dim=1 config_hash=x\nu0,s0,lab,1.0\n")
+        with pytest.raises(ScatFeatError, match=r"bad\.csv:1: unknown feature kind 'bogus'"):
+            read_feature_file(path)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,7 +12,7 @@ from scatfeat.config import RunConfig
 from scatfeat.errors import (AxisTooShortError, InvalidSpecError,
                              LengthMismatchError, SampleRateError)
 from scatfeat.features import extract_vector
-from scatfeat.filterbank import cached_bank
+from scatfeat.filterbank import FilterBank, FilterBankSpec, cached_bank
 from scatfeat.scattering import (frequency_scattering, lowpass_average,
                                  next_pow2, scattering_paths, time_scattering,
                                  wavelet_modulus)
@@ -55,15 +55,16 @@ def reference_time_scattering(w, cfg):
     bank2 = cached_bank(cfg.q2, cfg.t, n_fft)
     u1 = reference_wavelet_modulus(x, bank1)
     paths = [(0,)] + [(1, i1) for i1 in range(len(u1))]
-    blocks = [reference_lowpass_average(x[None, :], bank1.lowpass, cfg.hop),
-              reference_lowpass_average(u1, bank1.lowpass, cfg.hop)]
+    hop = bank1.spec.hop
+    blocks = [reference_lowpass_average(x[None, :], bank1.lowpass, hop),
+              reference_lowpass_average(u1, bank1.lowpass, hop)]
     for i1, f1 in enumerate(bank1.filters):
         admissible = np.flatnonzero(bank2.center_freqs < f1.bandwidth)
         if admissible.size == 0:
             continue
         u2 = np.abs(sfft.ifft(sfft.fft(u1[i1])[None, :] * bank2.responses[admissible],
                               axis=1))
-        blocks.append(reference_lowpass_average(u2, bank1.lowpass, cfg.hop))
+        blocks.append(reference_lowpass_average(u2, bank1.lowpass, hop))
         paths += [(2, i1, int(i2)) for i2 in admissible]
     return paths, np.concatenate(blocks)
 
@@ -149,64 +150,61 @@ class TestScatterLayer2:
 
 
 class TestLowpassAverage:
+    HOP = BANK1.spec.hop
+
     def test_dc_response(self):
-        frames = lowpass_average(np.ones(N_FFT), BANK1.lowpass, CFG.hop)
+        frames = lowpass_average(np.ones(N_FFT), BANK1)
         assert np.allclose(frames, 1.0, atol=1e-9)
 
     def test_impulse_traces_lowpass_shape(self):
         u = np.zeros(N_FFT)
         u[100] = 1.0
-        frames = lowpass_average(u, BANK1.lowpass, CFG.hop)
+        frames = lowpass_average(u, BANK1)
         phi_time = np.real(np.fft.ifft(BANK1.lowpass))
-        expected = np.maximum(np.roll(phi_time, 100)[::CFG.hop], 0.0)
+        expected = np.maximum(np.roll(phi_time, 100)[::self.HOP], 0.0)
         assert np.allclose(frames, expected, atol=1e-12)
 
     def test_shift_by_hop_rolls_frames(self, rng):
         u = np.abs(rng.standard_normal(N_FFT))
-        a = lowpass_average(u, BANK1.lowpass, CFG.hop)
-        b = lowpass_average(np.roll(u, CFG.hop), BANK1.lowpass, CFG.hop)
+        a = lowpass_average(u, BANK1)
+        b = lowpass_average(np.roll(u, self.HOP), BANK1)
         assert np.allclose(b, np.roll(a, 1), atol=1e-9)
 
-    def test_hop_must_divide(self):
-        with pytest.raises(ValueError):
-            lowpass_average(np.zeros(N_FFT), BANK1.lowpass, 1000)
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            lowpass_average(np.zeros(N_FFT // 2), BANK1)
 
     def test_matches_folded_reference(self, rng):
         u = np.abs(rng.standard_normal((5, N_FFT)))
-        want = reference_lowpass_average(u, BANK1.lowpass, CFG.hop)
-        assert_rows_close(lowpass_average(u, BANK1.lowpass, CFG.hop), want)
-        # The taps are keyed on values: a copy of the low-pass gives the
-        # same frames, and so does one that was changed and changed back.
-        lowpass = BANK1.lowpass.copy()
-        assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
-        lowpass[0] = 0.5
-        assert not np.allclose(lowpass_average(u, lowpass, CFG.hop), want)
-        lowpass[0] = BANK1.lowpass[0]
-        assert_rows_close(lowpass_average(u, lowpass, CFG.hop), want)
+        want = reference_lowpass_average(u, BANK1.lowpass, self.HOP)
+        assert_rows_close(lowpass_average(u, BANK1), want)
+        # The taps are built from the low-pass once, with the bank: neither
+        # can be written, so they cannot drift apart.
+        for table in (BANK1.lowpass, BANK1.taps, BANK1.tap_offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
 
     @pytest.mark.parametrize("t", [16384, 512, 64, 16])
     def test_memory_does_not_grow_with_frames(self, rng, t):
-        """The cached taps hold at most n_fft floats at every t. A dense
+        """The bank's taps hold at most n_fft floats at every t. A dense
         (n_fft, n_frames) averaging matrix would take 1 GiB at n_fft =
         65536 and t = 64 (2048 frames per row)."""
         n_fft = 65536
-        lowpass = cached_bank(1, t, n_fft).lowpass
+        bank = cached_bank(1, t, n_fft)
+        hop = bank.spec.hop
         u = np.abs(rng.standard_normal((3, n_fft)))
-        want = reference_lowpass_average(u, lowpass, t // 2)
-        scattering._lowpass_taps.cache_clear()
+        want = reference_lowpass_average(u, bank.lowpass, hop)
         tracemalloc.start()
         try:
-            got = lowpass_average(u, lowpass, t // 2)
+            got = lowpass_average(u, bank)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert_rows_close(got, want)
-        hop = t // 2
-        taps, offsets = scattering._lowpass_taps(lowpass.tobytes(), hop)
-        assert taps.nbytes <= 8 * n_fft
+        assert bank.taps.nbytes <= 8 * n_fft
         # every dropped tap is rounding noise of phi
-        phi = np.real(sfft.ifft(lowpass))
-        dropped = np.setdiff1d(np.arange(n_fft // hop), offsets)
+        phi = np.real(sfft.ifft(bank.lowpass))
+        dropped = np.setdiff1d(np.arange(n_fft // hop), bank.tap_offsets)
         dropped_taps = phi[(dropped[:, None] * hop - np.arange(hop)) % n_fft]
         assert np.all(np.abs(dropped_taps) <= 4 * np.finfo(float).eps * np.abs(phi).max())
         assert peak < 4 * 16 * u.size  # a few complex copies of u
@@ -217,14 +215,18 @@ class TestLowpassAverage:
         """Odd and even lengths, and a phi that does not decay: a random
         positive even spectrum keeps every frame offset. (The banks'
         Gaussian drops most offsets at many frames; see
-        test_memory_does_not_grow_with_frames.)"""
+        test_memory_does_not_grow_with_frames.) The banks hold no
+        band-pass and are built directly, outside build_morlet_bank's
+        limits on t and n_fft."""
         u = np.abs(rng.standard_normal(n))
         half = rng.uniform(0.5, 1.5, n // 2 + 1)
         flat = np.concatenate([half, half[(n - 1) // 2:0:-1]])
-        assert len(scattering._lowpass_taps(flat.tobytes(), hop)[1]) == n // hop
-        for lowpass in (np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2), flat):  # real, even
-            direct = np.real(np.fft.ifft(np.fft.fft(u) * lowpass))[::hop]
-            frames = lowpass_average(u, lowpass, hop)
+        banks = [FilterBank((), lowpass, FilterBankSpec(1, 2 * hop, n), np.empty((0, n)))
+                 for lowpass in (np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2), flat)]
+        assert len(banks[1].tap_offsets) == n // hop
+        for bank in banks:  # real, even low-passes
+            direct = np.real(np.fft.ifft(np.fft.fft(u) * bank.lowpass))[::hop]
+            frames = lowpass_average(u, bank)
             assert frames.shape == (n // hop,)
             assert np.max(np.abs(frames - np.maximum(direct, 0.0))) < 1e-12
 
@@ -243,7 +245,7 @@ class TestTimeScattering:
         pairs = [p[1:] for p in paths if p[0] == 2]
         assert pairs == sorted(pairs)
         frames = time_scattering(Waveform(np.zeros(CFG.n), FS), CFG)
-        assert frames.shape == (len(paths), N_FFT // CFG.hop)
+        assert frames.shape == (len(paths), N_FFT // BANK1.spec.hop)
 
     def test_non_expansive(self, rng):
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
@@ -263,7 +265,7 @@ class TestTimeScattering:
         # n == n_fft here, so rolling the input is circular for the FFT
         x = bandlimited_noise(rng, CFG.n, peak=0.4)
         a = time_scattering(Waveform(x, FS), CFG)
-        b = time_scattering(Waveform(np.roll(x, CFG.hop), FS), CFG)
+        b = time_scattering(Waveform(np.roll(x, BANK1.spec.hop), FS), CFG)
         assert np.allclose(b, np.roll(a, 1, axis=1), atol=1e-9)
 
     def test_non_negative(self, rng):
@@ -360,21 +362,20 @@ class TestFullLengthOracle:
         assert_rows_close(time_scattering(w, cfg), frames)
 
     def test_tables_built_once(self, rng, monkeypatch):
-        """Supports are built with a bank, the low-pass taps once per
-        low-pass and each twiddle table once per band width: none of them
-        per utterance or per row."""
+        """Supports and low-pass taps are built with a bank, and each
+        twiddle table once per band width: none of them per utterance or
+        per row."""
         time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)  # banks
-        supports = []
+        supports, taps = [], []
         monkeypatch.setattr(filterbank, "band_supports",
                             lambda r: supports.append(r) or ())
-        tables = (scattering._lowpass_taps, scattering._twiddles)
-        for table in tables:
-            table.cache_clear()
+        monkeypatch.setattr(filterbank, "lowpass_taps",
+                            lambda lowpass, hop: taps.append(hop) or ((), ()))
+        scattering._twiddles.cache_clear()
         for _ in range(3):
             time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)
-        lowpass, twiddles = (table.cache_info() for table in tables)
-        assert supports == []
-        assert lowpass.misses == 1 and lowpass.hits > 0
+        twiddles = scattering._twiddles.cache_info()
+        assert supports == [] and taps == []
         widths = {next_pow2(w) for bank in (BANK1, BANK2) for _, w in bank.supports}
         assert twiddles.misses == len(widths)
 
