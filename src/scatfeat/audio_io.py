@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -123,11 +124,28 @@ def load_wav(path) -> Waveform:
     return Waveform(samples, int(sample_rate))
 
 
+@lru_cache(maxsize=8)
+def _antialias_taps(max_rate: int) -> np.ndarray:
+    """Read-only Kaiser-windowed sinc taps for a rate change whose larger
+    reduced factor, max(up, down), is max_rate: the design depends on
+    nothing else."""
+    from scipy import signal
+
+    width = _TRANSITION_WIDTH / max_rate  # Nyquist units at the upsampled rate
+    numtaps, beta = signal.kaiserord(_STOPBAND_DB, width)
+    taps = signal.firwin(numtaps | 1, 1.0 / max_rate - width / 2.0,
+                         window=("kaiser", beta))
+    taps.flags.writeable = False
+    return taps
+
+
 def resample(w: Waveform, target_hz: int) -> Waveform:
     """Resample with a Kaiser-windowed sinc anti-aliasing filter.
 
     Output length is round(len * target / source). When the target rate
-    equals the source rate the input is returned unchanged.
+    equals the source rate the input is returned unchanged. The filter is
+    designed once per max(up, down) of the reduced ratio and cached, so
+    22.05 and 44.1 kHz to 16 kHz (both 441) share one design.
     """
     if target_hz <= 0:
         raise ValueError("target_hz must be positive")
@@ -137,13 +155,9 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
 
     g = math.gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g
-    max_rate = max(up, down)
-    width = _TRANSITION_WIDTH / max_rate  # Nyquist units at the upsampled rate
-    numtaps, beta = signal.kaiserord(_STOPBAND_DB, width)
-    # resample_poly scales the supplied taps by `up` itself
-    taps = signal.firwin(numtaps | 1, 1.0 / max_rate - width / 2.0,
-                         window=("kaiser", beta))
-    out = signal.resample_poly(w.samples, up, down, window=taps)
+    # resample_poly copies the taps and scales the copy by `up` itself
+    out = signal.resample_poly(w.samples, up, down,
+                               window=_antialias_taps(max(up, down)))
     n_out = int(math.floor(len(w) * target_hz / w.sample_rate_hz + 0.5))
     return Waveform(out[:n_out], target_hz)
 

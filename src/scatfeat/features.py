@@ -28,7 +28,9 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     of ln(frames + cfg.log_eps): the log is taken once, here, on every row
     of the linear frames, frequency-scattering rows included. The layer
     subsets are slices of the scatnet vector: scat-layer1 keeps orders 0
-    and 1, scat-layer2 order 2.
+    and 1, scat-layer2 order 2. scat-layer1 runs time_scattering with
+    max_order=1, which returns those rows alone, bit for bit, without
+    layer 2; pooling is per row, so its vector is still the slice.
 
     Classifying log coefficients follows Anden & Mallat, "Deep Scattering
     Spectrum" (IEEE TSP 2014). Linear coefficients fail on an unseen
@@ -44,12 +46,16 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     w = resample(w, SAMPLE_RATE_HZ)
     if kind == "mfcc":
         return mfcc_utterance(fix_length(w, cfg.n), cfg)
-    frames = time_scattering(w, cfg)
+    if kind == "scat-layer1":
+        frames = time_scattering(w, cfg, max_order=1)
+    else:
+        frames = time_scattering(w, cfg)
     if kind == "f-scatnet":
         frames = frequency_scattering(frames, cfg)
     vector = np.log(frames + cfg.log_eps).mean(axis=1)
-    n_low = 1 + len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).filters)
-    return {"scat-layer1": vector[:n_low], "scat-layer2": vector[n_low:]}.get(kind, vector)
+    if kind == "scat-layer2":
+        return vector[1 + len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).filters):]
+    return vector
 
 
 def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
@@ -57,16 +63,22 @@ def extract_many(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
     """Extract features for every manifest row with a bounded thread pool.
 
     Returns (feature_rows sorted by utterance_id, errors), where errors is a
-    list of (utterance_id, message) for rows that failed. The kind's banks
-    are built once, before any worker starts, so a config they reject
-    raises here before any WAV is read. So does an n too short for the two
-    MFCC frames that mfcc_stats pools, since every utterance is cut to n.
+    list of (utterance_id, message) for rows that failed. A kind outside
+    FEATURE_KINDS or n_workers below 1 raises ScatFeatError before anything
+    else. The kind's banks are built once, before any worker starts, so a
+    config they reject raises here before any WAV is read. So does an n
+    too short for the two MFCC frames that mfcc_stats pools, since every
+    utterance is cut to n.
     n_workers defaults to the CPUs the process may run on, which taskset
     or a cpuset can make fewer than the machine's.
     """
+    if kind not in FEATURE_KINDS:
+        raise ScatFeatError(f"unknown feature kind {kind!r}")
     if n_workers is None:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
+    if n_workers < 1:
+        raise ScatFeatError(f"n_workers must be at least 1, got {n_workers}")
     if kind == "mfcc" and cfg.n < cfg.win_samples + cfg.hop_samples:
         raise SignalTooShortError(
             f"n={cfg.n} samples < {cfg.win_samples + cfg.hop_samples}, two MFCC "

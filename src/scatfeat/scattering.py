@@ -42,7 +42,9 @@ them: (0,), then (1, l1) for ascending l1, then (2, l1, l2) in
 lexicographic order. frequency_scattering appends its rows below them,
 wavelet-major. Pooling is a row mean, so the layer-wise vectors are slices
 of the full one: orders 0 and 1 are its first 1 + n_order1 entries, order 2
-the rest.
+the rest. A kind that keeps only orders 0 and 1 asks time_scattering for
+max_order=1, which computes that prefix alone, bit for bit, and skips
+layer 2, most of the transform's work.
 """
 
 from __future__ import annotations
@@ -162,14 +164,22 @@ def scattering_paths(cfg: RunConfig) -> list[tuple]:
     return paths
 
 
-def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
+def time_scattering(w: Waveform, cfg: RunConfig, max_order: int = 2) -> np.ndarray:
     """Order-0/1/2 scattering frames, linear: an (n_paths, n_frames) matrix
     whose rows scattering_paths(cfg) labels.
+
+    max_order=1 stops after order 1: the rows are the order-0 and order-1
+    ones, the first 1 + len(bank1.filters) labels of scattering_paths(cfg),
+    computed by the same calls in the same order, so they are a bit-identical
+    prefix of the full matrix. No layer-2 modulus or low-pass runs. Any
+    other value than 1 or 2 raises InvalidSpecError.
 
     The waveform is forced to cfg.n samples (center crop / symmetric pad),
     then symmetrically zero-padded to n_fft = next_pow2(n) for circular FFT
     filtering. Expects 16 kHz input.
     """
+    if max_order not in (1, 2):
+        raise InvalidSpecError(f"max_order must be 1 or 2, got {max_order!r}")
     if w.sample_rate_hz != SAMPLE_RATE_HZ:
         raise SampleRateError(
             f"expected {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz}")
@@ -179,6 +189,8 @@ def time_scattering(w: Waveform, cfg: RunConfig) -> np.ndarray:
 
     u1 = wavelet_modulus(x, bank1)
     blocks = [lowpass_average(x, bank1)[None, :], lowpass_average(u1, bank1)]
+    if max_order == 1:
+        return np.concatenate(blocks)
     for u, f1 in zip(u1, bank1.filters):
         first = _first_admissible(f1, bank2)
         if first < len(bank2.filters):

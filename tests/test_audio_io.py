@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatfeat import audio_io
 from scatfeat.audio_io import Waveform, fix_length, load_wav, pad_or_crop_center, resample
 from scatfeat.errors import (CorruptHeaderError, NonFiniteFeatureError,
                              UnsupportedEncodingError)
@@ -152,6 +153,24 @@ class TestResample:
     def test_bad_target(self, rng):
         with pytest.raises(ValueError):
             resample(Waveform(rng.standard_normal(10), FS), 0)
+
+    def test_filter_designed_once_per_ratio(self, rng):
+        """22.05 and 44.1 kHz to 16 kHz both reduce to max(up, down) = 441
+        and share one read-only design, equal to one made inline here."""
+        from scipy import signal
+        audio_io._antialias_taps.cache_clear()
+        w = Waveform(rng.standard_normal(4410), 44100)
+        first, second = resample(w, FS), resample(w, FS)
+        resample(Waveform(rng.standard_normal(2205), 22050), FS)
+        info = audio_io._antialias_taps.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not audio_io._antialias_taps(441).flags.writeable
+        width = 0.1 / 441
+        numtaps, beta = signal.kaiserord(85.0, width)
+        taps = signal.firwin(numtaps | 1, 1.0 / 441 - width / 2.0,
+                             window=("kaiser", beta))
+        want = signal.resample_poly(w.samples, 160, 441, window=taps)[:len(first)]
+        assert first.samples.tobytes() == second.samples.tobytes() == want.tobytes()
 
     def test_scipy_signal_imported_only_to_resample(self):
         """scipy.signal is most of the package's import time, and only a

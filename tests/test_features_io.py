@@ -381,6 +381,22 @@ class TestExtractMany:
         assert len(rows) == 6 and errors == []
         assert len(specs) == builds == len(set(specs))
 
+    @pytest.mark.parametrize("kind, n_workers", [("plp", 1), ("scatnet", 0),
+                                                 ("scatnet", -1)])
+    def test_bad_kind_or_worker_count_raises_first(self, tmp_path, monkeypatch,
+                                                  kind, n_workers):
+        """Raised before any bank is built or WAV is read: the missing WAV
+        would otherwise be collected as a row error."""
+        manifest = [ManifestRow("u", str(tmp_path / "missing.wav"), "s", "x")]
+        specs = []
+        build = filterbank.build_morlet_bank
+        monkeypatch.setattr(filterbank, "build_morlet_bank",
+                            lambda spec: specs.append(spec) or build(spec))
+        cached_bank.cache_clear()
+        with pytest.raises(ScatFeatError):
+            extract_many(manifest, kind, SMALL, n_workers=n_workers)
+        assert specs == []
+
     def test_default_pool_is_the_usable_cpus(self, tmp_path, rng, monkeypatch):
         """Sized by the affinity mask, not the machine's CPU count."""
         p = tmp_path / "w.wav"

@@ -318,6 +318,36 @@ class TestTimeScattering:
                             RunConfig(t=8192, n=100))
 
 
+class TestMaxOrder:
+    """max_order=1 returns the order-0 and order-1 rows alone, without
+    running layer 2."""
+
+    @pytest.mark.parametrize("cfg", [CFG, RunConfig()], ids=["small", "default"])
+    def test_order1_is_a_prefix_of_the_full_matrix(self, rng, cfg):
+        w = Waveform(bandlimited_noise(rng, cfg.n, peak=0.4), FS)
+        n_low = 1 + len(cached_bank(cfg.q1, cfg.t, cfg.n_fft).filters)
+        full = time_scattering(w, cfg)
+        low = time_scattering(w, cfg, max_order=1)
+        assert low.shape == (n_low, full.shape[1])
+        assert low.tobytes() == full[:n_low].tobytes()
+
+    @pytest.mark.parametrize("max_order", [1, 2])
+    def test_layer2_moduli_run_only_at_order_2(self, rng, monkeypatch, max_order):
+        calls = []
+        moduli = scattering._moduli
+        monkeypatch.setattr(scattering, "_moduli",
+                            lambda *args: calls.append(1) or moduli(*args))
+        time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG,
+                        max_order=max_order)
+        n_blocks = len({p[1] for p in scattering_paths(CFG) if p[0] == 2})
+        assert len(calls) == (1 if max_order == 1 else 1 + n_blocks)
+
+    @pytest.mark.parametrize("max_order", [0, 3])
+    def test_other_orders_rejected(self, max_order):
+        with pytest.raises(InvalidSpecError):
+            time_scattering(Waveform(np.zeros(CFG.n), FS), CFG, max_order=max_order)
+
+
 def oracle_signal(kind, cfg):
     n = np.arange(cfg.n)
     if kind == "zero":
