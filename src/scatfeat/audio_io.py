@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -124,6 +125,12 @@ def load_wav(path) -> Waveform:
     return Waveform(samples, int(sample_rate))
 
 
+# Held around each _antialias_taps lookup: lru_cache does not serialize its
+# misses, so workers that miss a cold cache together would each design the
+# filter.
+_TAPS_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=8)
 def _antialias_taps(max_rate: int) -> np.ndarray:
     """Read-only Kaiser-windowed sinc taps for a rate change whose larger
@@ -145,7 +152,8 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     Output length is round(len * target / source). When the target rate
     equals the source rate the input is returned unchanged. The filter is
     designed once per max(up, down) of the reduced ratio and cached, so
-    22.05 and 44.1 kHz to 16 kHz (both 441) share one design.
+    22.05 and 44.1 kHz to 16 kHz (both 441) share one design, also when
+    threads resample at once.
     """
     if target_hz <= 0:
         raise ValueError("target_hz must be positive")
@@ -155,9 +163,10 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
 
     g = math.gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g
+    with _TAPS_LOCK:
+        taps = _antialias_taps(max(up, down))
     # resample_poly copies the taps and scales the copy by `up` itself
-    out = signal.resample_poly(w.samples, up, down,
-                               window=_antialias_taps(max(up, down)))
+    out = signal.resample_poly(w.samples, up, down, window=taps)
     n_out = int(math.floor(len(w) * target_hz / w.sample_rate_hz + 0.5))
     return Waveform(out[:n_out], target_hz)
 

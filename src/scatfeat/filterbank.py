@@ -16,11 +16,21 @@ Center frequencies follow two regimes:
 After construction all band-pass responses are rescaled by one global
 factor so that the Littlewood-Paley sum peaks at exactly 1, making the
 wavelet transform non-expansive.
+
+Memory: each band-pass filter is stored over its band alone, the width
+bins from the start of its support that hold every non-zero gain; a wavelet
+modulus zero-pads them to the m = next_pow2(width) bins it inverts
+(scattering._modulus). About 80% of a dense response is exact zeros, so the
+default pair of banks holds 7 MB of bands in place of 36 MB of dense
+(n_filters, n_fft) responses. BandpassFilter.response and
+FilterBank.responses build the dense gains when read; nothing keeps them.
+The build makes one response at a time over all n_fft bins and keeps its
+band, so it never holds an (n_filters, n_fft) matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +54,8 @@ _PERIODIZATION_EPS = 1e-7
 # exp(-x) underflows to exactly 0.0 in float64 for x > 745.14, i.e. beyond
 # sqrt(2 * 745.2) standard deviations from a Gaussian's centre.
 _UNDERFLOW_SIGMAS = float(np.sqrt(2.0 * 745.2))
+# Columns summed at a time by _wavelet_energy: a (n_filters, 4096) block.
+_ENERGY_BLOCK = 4096
 
 
 def _is_pow2(n: int) -> bool:
@@ -84,37 +96,72 @@ class FilterBankSpec:
 @dataclass(frozen=True)
 class BandpassFilter:
     """One analytic wavelet: nominal center (cycles/sample), nominal
-    bandwidth (lambda/q in the geometric region, 1/t in the linear one)
-    and its non-negative gain over all n_fft DFT bins (a row of its bank's
-    responses)."""
+    bandwidth (lambda/q in the geometric region, 1/t in the linear one),
+    region, and its non-negative gain stored over its support alone: band
+    holds, read-only, the gains of the bins from start on, circularly, over
+    the shortest span of the n_fft DFT bins that holds every non-zero one
+    (see band_support)."""
 
     center_freq_normalized: float
     bandwidth: float
-    response: np.ndarray
     region: str  # "geo" | "lin"
+    start: int
+    band: np.ndarray
+    n_fft: int
+
+    @property
+    def width(self) -> int:
+        return self.band.shape[0]
+
+    @property
+    def support(self) -> tuple[int, int]:
+        return self.start, self.width
+
+    @property
+    def response(self) -> np.ndarray:
+        """The gain over all n_fft bins, built on each read; read-only."""
+        out = np.zeros(self.n_fft)
+        _place(out, self.band, self.start, self.n_fft)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Band-pass filters, the low-pass and their spec; responses stacks
-    every band-pass gain as an (n_filters, n_fft) matrix, supports holds
-    each row's non-zero band (see band_supports), and taps and tap_offsets
+    """Band-pass filters, the low-pass and their spec; taps and tap_offsets
     hold phi sampled every spec.hop over its frame offsets (see
-    lowpass_taps)."""
+    lowpass_taps). A bank built by hand may pass dense, the (n_filters,
+    n_fft) gains, which must equal responses: an empty one for a bank of
+    the low-pass alone."""
 
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
     spec: FilterBankSpec
-    responses: np.ndarray
-    supports: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    dense: InitVar[np.ndarray | None] = None
     taps: np.ndarray = field(init=False, repr=False)
     tap_offsets: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "supports", band_supports(self.responses))
+    def __post_init__(self, dense):
+        if dense is not None and not np.array_equal(dense, self.responses):
+            raise InvalidSpecError("dense responses do not match the filters' bands")
         taps, offsets = lowpass_taps(self.lowpass, self.spec.hop)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "tap_offsets", offsets)
+
+    @property
+    def responses(self) -> np.ndarray:
+        """Every band-pass gain over all n_fft bins, an (n_filters, n_fft)
+        matrix built on each read; read-only."""
+        out = np.zeros((len(self.filters), self.spec.n_fft))
+        for f, row in zip(self.filters, out):
+            _place(row, f.band, f.start, self.spec.n_fft)
+        out.flags.writeable = False
+        return out
+
+    @property
+    def supports(self) -> tuple[tuple[int, int], ...]:
+        """(start, width) of every filter's support."""
+        return tuple(f.support for f in self.filters)
 
     @property
     def center_freqs(self) -> np.ndarray:
@@ -128,18 +175,35 @@ class FilterBank:
         return [i for i, f in enumerate(self.filters) if f.region == "geo"]
 
 
-def band_supports(responses: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """(start, width) for every row: its non-zero bins lie within the width
-    bins from start on, circularly, and width is the smallest such span.
-    Gains are cut where exp() underflows, so each support is exact."""
-    n_fft = responses.shape[1]
-    supports = []
-    for response in responses:
-        nz = np.flatnonzero(response)
-        gaps = np.diff(nz, append=nz[0] + n_fft)
-        k = int(np.argmax(gaps))  # the longest zero run ends the support
-        supports.append((int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)))
-    return tuple(supports)
+def band_support(response: np.ndarray) -> tuple[int, int]:
+    """(start, width) of a non-zero response: its non-zero bins lie within
+    the width bins from start on, circularly, and width is the smallest
+    such span. Gains are cut where exp() underflows, so the support is
+    exact."""
+    n_fft = response.shape[0]
+    nz = np.flatnonzero(response)
+    gaps = np.diff(nz, append=nz[0] + n_fft)
+    k = int(np.argmax(gaps))  # the longest zero run ends the support
+    return int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)
+
+
+def circular_window(v: np.ndarray, start: int, m: int) -> np.ndarray:
+    """v[start:start + m], wrapping past the end of v."""
+    over = start + m - v.shape[0]
+    return v[start:start + m] if over <= 0 else np.concatenate((v[start:], v[:over]))
+
+
+def _place(out: np.ndarray, band: np.ndarray, start: int, n_fft: int,
+           lo: int = 0) -> None:
+    """Copy band, the gains of the len(band) bins from bin start on of an
+    n_fft-bin axis (wrapping past its last bin), into out, which holds bins
+    lo to lo + len(out) - 1 of that axis: only the bins both hold."""
+    m, hi = band.shape[0], lo + out.shape[0]
+    for first, last in ((start, min(start + m, n_fft)), (0, start + m - n_fft)):
+        a, b = max(first, lo), min(last, hi)
+        if a < b:
+            j = (a - start) % n_fft  # the band index of bin a
+            out[a - lo:b - lo] = band[j:j + b - a]
 
 
 def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +225,15 @@ def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]
     return taps, offsets
 
 
+@lru_cache(maxsize=8)
+def _ascending_freqs(n_fft: int) -> np.ndarray:
+    """The DFT grid in ascending order, freqs[m] = (m - n_fft//2) / n_fft,
+    shared read-only by every Gaussian built on it."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
     """exp(-(w-center)^2 / 2 sigma^2) summed over enough unit periods that
     the wrap-around error stays below _PERIODIZATION_EPS.
@@ -172,8 +245,7 @@ def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
     summing every period over the full DFT grid.
     """
     n_periods = int(np.ceil(np.sqrt(-2.0 * sigma**2 * np.log(_PERIODIZATION_EPS)))) + 1
-    # Ascending frequencies: freqs[m] = (m - n_fft//2) / n_fft.
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft))
+    freqs = _ascending_freqs(n_fft)
     half = n_fft // 2
     radius = _UNDERFLOW_SIGMAS * sigma
     out = np.zeros(n_fft)
@@ -247,26 +319,38 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
         lam -= 1.0 / t
 
     sigma_lin = _SIGMA_LIN_FACTOR / t
-    responses = np.stack([
-        morlet_response(n_fft, center, c_q * center if region == "geo" else sigma_lin)
-        for center, region in zip(centers, regions)])
+    bands = [_band(morlet_response(n_fft, center,
+                                   c_q * center if region == "geo" else sigma_lin))
+             for center, region in zip(centers, regions)]
 
     lowpass = gaussian_lowpass(n_fft, _SIGMA_PHI_FACTOR / t)
 
     # Global rescale: largest s with max over bins of
     # |phi|^2 + s * psi_sum <= 1. phi keeps unit DC gain.
-    psi_sum = _wavelet_energy(responses)
+    psi_sum = _wavelet_energy(bands, n_fft)
     head = lowpass**2
     mask = psi_sum > 1e-12
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
-    responses = responses * scale
+    # the scaled gains may underflow where the unscaled ones did not, so each
+    # support is found again on the scaled response
+    filters = []
+    for center, region, (start, band) in zip(centers, regions, bands):
+        response = np.zeros(n_fft)
+        _place(response, band * scale, start, n_fft)
+        filters.append(BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
+                                      region, *_band(response), n_fft))
     # banks are cached and shared, and the taps are built from phi
-    responses.flags.writeable = lowpass.flags.writeable = False
-    filters = tuple(
-        BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
-                       response, region)
-        for center, region, response in zip(centers, regions, responses))
-    return FilterBank(filters, lowpass, spec, responses)
+    lowpass.flags.writeable = False
+    return FilterBank(tuple(filters), lowpass, spec)
+
+
+def _band(response: np.ndarray) -> tuple[int, np.ndarray]:
+    """(start, band) of a response: the start of its support (band_support)
+    and a read-only copy of the gains over it."""
+    start, width = band_support(response)
+    band = circular_window(response, start, width).copy()
+    band.flags.writeable = False
+    return start, band
 
 
 @lru_cache(maxsize=32)
@@ -275,16 +359,33 @@ def cached_bank(q: int, t: int, n_fft: int) -> FilterBank:
     return build_morlet_bank(FilterBankSpec(q, t, n_fft))
 
 
-def _wavelet_energy(responses: np.ndarray) -> np.ndarray:
-    """Per-bin 1/2 sum_lambda (|psi(w)|^2 + |psi(-w)|^2) over the rows."""
-    sq = responses**2
-    n_fft = sq.shape[1]
-    return 0.5 * (sq.sum(axis=0) + sq[:, (-np.arange(n_fft)) % n_fft].sum(axis=0))
+def _wavelet_energy(bands, n_fft: int) -> np.ndarray:
+    """Per-bin 1/2 sum_lambda (|psi(w)|^2 + |psi(-w)|^2) over the filters
+    whose gains bands gives as (start, band) pairs (see _place).
+
+    Both sums are bit for bit numpy's sums over the dense (n_filters, n_fft)
+    squares sq: rows adds the rows in order, as sq.sum(axis=0) does, and the
+    mirrored sum takes each column's pairwise sum, as numpy reduces the
+    column-major gather sq[:, mirror]. Each column of a block is laid out
+    contiguously so that its sum over axis 0 is that pairwise sum; blocks of
+    _ENERGY_BLOCK columns keep the scratch small.
+    """
+    squares = [(start, band**2) for start, band in bands]
+    rows, cols = np.empty(n_fft), np.empty(n_fft)
+    for lo in range(0, n_fft, _ENERGY_BLOCK):
+        hi = min(lo + _ENERGY_BLOCK, n_fft)
+        block = np.zeros((hi - lo, len(squares))).T  # column-major
+        for (start, sq), row in zip(squares, block):
+            _place(row, sq, start, n_fft, lo)
+        cols[lo:hi] = block.sum(axis=0)
+        rows[lo:hi] = np.ascontiguousarray(block).sum(axis=0)
+    return 0.5 * (rows + cols[(-np.arange(n_fft)) % n_fft])
 
 
 def littlewood_paley_sum(bank: FilterBank) -> np.ndarray:
     """Per-bin sum |phi(w)|^2 + 1/2 sum_lambda (|psi(w)|^2 + |psi(-w)|^2)."""
-    return bank.lowpass**2 + _wavelet_energy(bank.responses)
+    return bank.lowpass**2 + _wavelet_energy(
+        [(f.start, f.band) for f in bank.filters], bank.spec.n_fft)
 
 
 def littlewood_paley_bounds(bank: FilterBank) -> dict:

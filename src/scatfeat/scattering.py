@@ -21,7 +21,8 @@ where the filters allow it. Each wavelet modulus multiplies one FFT of its
 input by the filter's response and inverts only the filter's band: a band
 of m = next_pow2(W) bins (W the width of the response's non-zero support)
 takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
-full-length inverse (see _moduli); each bank holds its filters' supports.
+full-length inverse (see _modulus); each bank holds its filters' gains over
+their supports alone (filterbank).
 Each low-pass is one small matrix product, with no full-length FFT: each
 bank holds phi sampled every hop as taps over the frame offsets where it is
 above rounding, built once with the bank, and a shift-and-add of the
@@ -30,6 +31,16 @@ the banks' Gaussian that keeps all 8 offsets at the default 8 frames per
 path, and 22 at 32 frames or more. A dropped offset holds only taps of at
 most 4 eps max|phi|, so a frame moves by at most 4 eps max|phi| sum|u|
 beyond the rounding of the exact circular convolution.
+
+Memory: time_scattering runs depth first. After one FFT of x it takes the
+first bank's filters in order, and for each computes the envelope
+|x * psi_l1|, its order-1 low-pass and, at max_order=2, the block of its
+admissible order-2 paths, before it moves to the next filter. So each
+worker holds one first-order row, one order-2 block and the frames, not all
+n_order1 envelopes: at the default config a transform's traced peak is
+about 16 MB, and the 58 envelopes alone would take 30 MB. wavelet_modulus
+keeps the whole-bank moduli for callers that want them, and every order-1
+row of time_scattering is, bit for bit, the low-pass of that row.
 
 Frequency scattering additionally runs a q=1 wavelet modulus along the
 log-frequency axis of the order-1 coefficients (geometric-region bins only,
@@ -59,7 +70,7 @@ from .audio_io import (SAMPLE_RATE_HZ, Waveform, fix_length, next_pow2,
 from .config import RunConfig
 from .errors import (AxisTooShortError, InvalidSpecError, LengthMismatchError,
                      SampleRateError)
-from .filterbank import FilterBank, cached_bank
+from .filterbank import BandpassFilter, FilterBank, cached_bank, circular_window
 
 
 @lru_cache(maxsize=32)
@@ -73,10 +84,10 @@ def _twiddles(n_fft: int, m: int) -> np.ndarray:
     return table
 
 
-def _moduli(spectrum: np.ndarray, responses: np.ndarray, supports) -> np.ndarray:
-    """|ifft(spectrum * response)| for every row of responses, inverted over
-    each filter's band only: the m = next_pow2(width) bins from the start of
-    the filter's support (FilterBank.supports).
+def _modulus(spectrum: np.ndarray, f: BandpassFilter, out: np.ndarray) -> np.ndarray:
+    """|ifft(spectrum * f.response)| into out, inverted over the filter's
+    band only: the m = next_pow2(width) bins from the start of its support
+    (f.band holds the width of them that can be non-zero).
 
     With the band's m bins Y[start + j] and n_fft = L * m, the inverse DFT
     splits by decimation in time: y[r + L * k] = exp(2 pi i start n / n_fft)
@@ -85,30 +96,31 @@ def _moduli(spectrum: np.ndarray, responses: np.ndarray, supports) -> np.ndarray
     full-resolution |x * psi| exactly. For m == n_fft this is the plain
     inverse FFT of the rotated spectrum.
     """
-    n_fft = spectrum.shape[0]
+    n_fft, m = spectrum.shape[0], next_pow2(f.width)
+    band = np.zeros(m, dtype=complex)
+    np.multiply(circular_window(spectrum, f.start, f.width), f.band, out=band[:f.width])
+    z = sfft.ifft(_twiddles(n_fft, m) * band, axis=1, overwrite_x=True)
+    np.abs(z.T, out=out.reshape(m, n_fft // m))
+    return out
 
-    def circular(v, start, m):  # v[start:start + m], wrapping past the end
-        over = start + m - n_fft
-        return v[start:start + m] if over <= 0 else np.concatenate((v[start:], v[:over]))
 
-    out = np.empty(responses.shape)
-    for response, (start, width), row in zip(responses, supports, out):
-        m = next_pow2(width)
-        band = circular(spectrum, start, m) * circular(response, start, m)
-        z = sfft.ifft(_twiddles(n_fft, m) * band, axis=1, overwrite_x=True)
-        np.abs(z.T, out=row.reshape(m, n_fft // m))
+def _moduli(spectrum: np.ndarray, filters) -> np.ndarray:
+    """_modulus of spectrum for each filter: an (n_filters, n_fft) array."""
+    out = np.empty((len(filters), spectrum.shape[0]))
+    for f, row in zip(filters, out):
+        _modulus(spectrum, f, row)
     return out
 
 
 def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     """|x * psi| for every filter at full resolution: one FFT of x, then
     each filter's product with the spectrum is inverted over the filter's
-    band only (see _moduli). Returns an (n_filters, n_fft) array."""
+    band only (see _modulus). Returns an (n_filters, n_fft) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != bank.spec.n_fft:
         raise LengthMismatchError(
             f"signal length {x.shape} does not match bank n_fft={bank.spec.n_fft}")
-    return _moduli(sfft.fft(x), bank.responses, bank.supports)
+    return _moduli(sfft.fft(x), bank.filters)
 
 
 def lowpass_average(u: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -170,7 +182,7 @@ def time_scattering(w: Waveform, cfg: RunConfig, max_order: int = 2) -> np.ndarr
 
     max_order=1 stops after order 1: the rows are the order-0 and order-1
     ones, the first 1 + len(bank1.filters) labels of scattering_paths(cfg),
-    computed by the same calls in the same order, so they are a bit-identical
+    computed by the same loop in the same order, so they are a bit-identical
     prefix of the full matrix. No layer-2 modulus or low-pass runs. Any
     other value than 1 or 2 raises InvalidSpecError.
 
@@ -187,16 +199,16 @@ def time_scattering(w: Waveform, cfg: RunConfig, max_order: int = 2) -> np.ndarr
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
 
-    u1 = wavelet_modulus(x, bank1)
-    blocks = [lowpass_average(x, bank1)[None, :], lowpass_average(u1, bank1)]
-    if max_order == 1:
-        return np.concatenate(blocks)
-    for u, f1 in zip(u1, bank1.filters):
+    spectrum = sfft.fft(x)
+    rows, order2 = [lowpass_average(x, bank1)], []
+    u = np.empty(cfg.n_fft)  # |x * psi_l1|, one l1 at a time
+    for f1 in bank1.filters:
+        rows.append(lowpass_average(_modulus(spectrum, f1, u), bank1))
         first = _first_admissible(f1, bank2)
-        if first < len(bank2.filters):
-            u2 = _moduli(sfft.fft(u), bank2.responses[first:], bank2.supports[first:])
-            blocks.append(lowpass_average(u2, bank1))
-    return np.concatenate(blocks)
+        if max_order == 2 and first < len(bank2.filters):
+            u2 = _moduli(sfft.fft(u), bank2.filters[first:])
+            order2.append(lowpass_average(u2, bank1))
+    return np.concatenate([np.stack(rows)] + order2)
 
 
 def frequency_bank(cfg: RunConfig) -> FilterBank:

@@ -1,3 +1,5 @@
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -171,6 +173,26 @@ class TestResample:
                              window=("kaiser", beta))
         want = signal.resample_poly(w.samples, 160, 441, window=taps)[:len(first)]
         assert first.samples.tobytes() == second.samples.tobytes() == want.tobytes()
+
+    def test_threads_on_a_cold_cache_design_once(self, rng, monkeypatch):
+        """Two threads resampling one 44.1 kHz waveform on a cleared cache
+        design the filter once. A slowed design makes them overlap."""
+        from scipy import signal
+        firwin = signal.firwin
+        monkeypatch.setattr(signal, "firwin",
+                            lambda *args, **kw: time.sleep(0.2) or firwin(*args, **kw))
+        audio_io._antialias_taps.cache_clear()
+        w = Waveform(rng.standard_normal(4410), 44100)
+        outs = {}
+        threads = [threading.Thread(target=lambda i=i: outs.update({i: resample(w, FS)}))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert audio_io._antialias_taps.cache_info().misses == 1
+        assert outs[0].samples.tobytes() == outs[1].samples.tobytes()
 
     def test_scipy_signal_imported_only_to_resample(self):
         """scipy.signal is most of the package's import time, and only a

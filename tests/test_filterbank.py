@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scatfeat import filterbank
+from scatfeat.config import RunConfig
 from scatfeat.errors import InvalidSpecError
 from scatfeat.filterbank import (FilterBank, FilterBankSpec, _PERIODIZATION_EPS,
                                  _periodized_gaussian, bank_to_csv_rows,
@@ -170,6 +172,30 @@ class TestLittlewoodPaley:
                           np.zeros((0, 2048)))
         bounds = littlewood_paley_bounds(bank)
         assert bounds["max"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStorage:
+    def test_default_pair_held_memory(self):
+        """Each filter is stored over its band: the default pair of banks
+        holds at most 12 MB, where its dense responses would take 36 MB."""
+        cfg = RunConfig()
+        tracemalloc.start()
+        try:
+            banks = [build_morlet_bank(FilterBankSpec(q, cfg.t, cfg.n_fft))
+                     for q in (cfg.q1, cfg.q2)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(bank.filters) for bank in banks) == 72
+        assert held <= 12 * 2**20
+
+    def test_dense_responses_must_match_the_bands(self):
+        bank = build_morlet_bank(FilterBankSpec(1, 64, 256))
+        assert not bank.responses.flags.writeable
+        assert np.array_equal(FilterBank(bank.filters, bank.lowpass, bank.spec,
+                                         bank.responses).responses, bank.responses)
+        with pytest.raises(InvalidSpecError):
+            FilterBank(bank.filters, bank.lowpass, bank.spec, 2.0 * bank.responses)
 
 
 class TestCsvDump:

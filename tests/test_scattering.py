@@ -333,6 +333,8 @@ class TestMaxOrder:
 
     @pytest.mark.parametrize("max_order", [1, 2])
     def test_layer2_moduli_run_only_at_order_2(self, rng, monkeypatch, max_order):
+        """Layer 1 runs one _modulus per filter; _moduli runs once per
+        layer-2 block, and only at order 2."""
         calls = []
         moduli = scattering._moduli
         monkeypatch.setattr(scattering, "_moduli",
@@ -340,12 +342,43 @@ class TestMaxOrder:
         time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG,
                         max_order=max_order)
         n_blocks = len({p[1] for p in scattering_paths(CFG) if p[0] == 2})
-        assert len(calls) == (1 if max_order == 1 else 1 + n_blocks)
+        assert len(calls) == (0 if max_order == 1 else n_blocks)
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(q1=2, t=512),
+                                     RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8)],
+                             ids=["default", "many-frames", "frequency"])
+    def test_order1_rows_are_the_layer1_lowpass(self, rng, cfg):
+        """Row by row, the order-1 rows are bit for bit the whole-bank
+        low-pass of the whole-bank moduli."""
+        w = Waveform(bandlimited_noise(rng, cfg.n, peak=0.4), FS)
+        bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
+        x = pad_or_crop_center(fix_length(w, cfg.n).samples, cfg.n_fft)
+        want = lowpass_average(wavelet_modulus(x, bank1), bank1)
+        got = time_scattering(w, cfg, max_order=1)[1:]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("max_order", [0, 3])
     def test_other_orders_rejected(self, max_order):
         with pytest.raises(InvalidSpecError):
             time_scattering(Waveform(np.zeros(CFG.n), FS), CFG, max_order=max_order)
+
+
+class TestMemory:
+    """Traced peaks of one default time_scattering: one first-order row is
+    in flight, with at most one layer-2 block."""
+
+    @pytest.mark.parametrize("max_order, bound_mb", [(2, 20), (1, 8)])
+    def test_time_scattering_peak(self, max_order, bound_mb):
+        cfg = RunConfig()
+        w = Waveform(0.1 * np.random.default_rng(3).standard_normal(cfg.n), FS)
+        time_scattering(w, cfg, max_order=max_order)  # banks and twiddle tables
+        tracemalloc.start()
+        try:
+            time_scattering(w, cfg, max_order=max_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
 
 
 def oracle_signal(kind, cfg):
@@ -394,11 +427,14 @@ class TestFullLengthOracle:
     def test_tables_built_once(self, rng, monkeypatch):
         """Supports and low-pass taps are built with a bank, and each
         twiddle table once per band width: none of them per utterance or
-        per row."""
+        per row. Each support is the one a scan of the dense response
+        finds."""
         time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)  # banks
+        for f in BANK1.filters + BANK2.filters:
+            assert f.support == filterbank.band_support(f.response)
         supports, taps = [], []
-        monkeypatch.setattr(filterbank, "band_supports",
-                            lambda r: supports.append(r) or ())
+        monkeypatch.setattr(filterbank, "band_support",
+                            lambda r: supports.append(r) or (0, 1))
         monkeypatch.setattr(filterbank, "lowpass_taps",
                             lambda lowpass, hop: taps.append(hop) or ((), ()))
         scattering._twiddles.cache_clear()
