@@ -30,7 +30,7 @@ band, so it never holds an (n_filters, n_fft) matrix.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -130,20 +130,15 @@ class BandpassFilter:
 class FilterBank:
     """Band-pass filters, the low-pass and their spec; taps and tap_offsets
     hold phi sampled every spec.hop over its frame offsets (see
-    lowpass_taps). A bank built by hand may pass dense, the (n_filters,
-    n_fft) gains, which must equal responses: an empty one for a bank of
-    the low-pass alone."""
+    lowpass_taps)."""
 
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
     spec: FilterBankSpec
-    dense: InitVar[np.ndarray | None] = None
     taps: np.ndarray = field(init=False, repr=False)
     tap_offsets: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, dense):
-        if dense is not None and not np.array_equal(dense, self.responses):
-            raise InvalidSpecError("dense responses do not match the filters' bands")
+    def __post_init__(self):
         taps, offsets = lowpass_taps(self.lowpass, self.spec.hop)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "tap_offsets", offsets)
@@ -154,7 +149,7 @@ class FilterBank:
         matrix built on each read; read-only."""
         out = np.zeros((len(self.filters), self.spec.n_fft))
         for f, row in zip(self.filters, out):
-            _place(row, f.band, f.start, self.spec.n_fft)
+            row[:] = f.response
         out.flags.writeable = False
         return out
 
@@ -225,15 +220,6 @@ def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]
     return taps, offsets
 
 
-@lru_cache(maxsize=8)
-def _ascending_freqs(n_fft: int) -> np.ndarray:
-    """The DFT grid in ascending order, freqs[m] = (m - n_fft//2) / n_fft,
-    shared read-only by every Gaussian built on it."""
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft))
-    freqs.flags.writeable = False
-    return freqs
-
-
 def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
     """exp(-(w-center)^2 / 2 sigma^2) summed over enough unit periods that
     the wrap-around error stays below _PERIODIZATION_EPS.
@@ -245,7 +231,6 @@ def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
     summing every period over the full DFT grid.
     """
     n_periods = int(np.ceil(np.sqrt(-2.0 * sigma**2 * np.log(_PERIODIZATION_EPS)))) + 1
-    freqs = _ascending_freqs(n_fft)
     half = n_fft // 2
     radius = _UNDERFLOW_SIGMAS * sigma
     out = np.zeros(n_fft)
@@ -253,7 +238,10 @@ def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
         lo = max(int(np.floor((center - p - radius) * n_fft)) + half, 0)
         hi = min(int(np.ceil((center - p + radius) * n_fft)) + half + 1, n_fft)
         if lo < hi:
-            out[lo:hi] += np.exp(-((freqs[lo:hi] - center + p) ** 2) / (2.0 * sigma**2))
+            # bins lo..hi-1 of the ascending DFT grid, exactly as
+            # fftshift(fftfreq(n_fft)) holds them: (m - n_fft//2) * (1/n_fft)
+            freqs = (np.arange(lo, hi) - half) * (1.0 / n_fft)
+            out[lo:hi] += np.exp(-((freqs - center + p) ** 2) / (2.0 * sigma**2))
     return np.fft.ifftshift(out)
 
 

@@ -221,7 +221,7 @@ class TestLowpassAverage:
         u = np.abs(rng.standard_normal(n))
         half = rng.uniform(0.5, 1.5, n // 2 + 1)
         flat = np.concatenate([half, half[(n - 1) // 2:0:-1]])
-        banks = [FilterBank((), lowpass, FilterBankSpec(1, 2 * hop, n), np.empty((0, n)))
+        banks = [FilterBank((), lowpass, FilterBankSpec(1, 2 * hop, n))
                  for lowpass in (np.exp(-0.5 * (np.fft.fftfreq(n) * 4.0) ** 2), flat)]
         assert len(banks[1].tap_offsets) == n // hop
         for bank in banks:  # real, even low-passes
