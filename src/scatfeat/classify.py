@@ -4,7 +4,14 @@ A model is stored in LIBSVM's one-vs-one layout (Chang & Lin, ACM TIST
 2011): one matrix of the training rows that support any class pair, and one
 coefficient column per pair. The decision values of every pair for a batch
 of rows are then one kernel product, rbf_kernel(rows, support_vectors) @
-coef + bias.
+coef + bias, and one vectorized vote (_vote) turns them into classes:
+np.bincount counts the votes and np.add.at sums each class's won margins
+pair by pair, in the order a loop over the pairs would, so a tie on votes
+is broken by the same margins, bit for bit.
+
+A training label vector's pair layout (each pair's rows, its +-1 labels
+and the training classes) depends on no C or gamma; grid_search builds it
+once per call (_PairTable) and scores every cell on class indices.
 
 A grid search solves each distinct dual once. C enters the SMO only
 through the upper limit c - alpha of a step, the clamp at c, the
@@ -17,6 +24,7 @@ there, bit for bit, instead of solving again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -180,6 +188,15 @@ def _class_pairs(n_classes: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n_classes), 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_ends(n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second class of each pair of _class_pairs, as two
+    read-only index arrays."""
+    ends = np.array(_class_pairs(n_classes)).reshape(-1, 2).T
+    ends.setflags(write=False)
+    return ends[0], ends[1]
+
+
 @dataclass(frozen=True)
 class SvmModel:
     """One-vs-one machines over one support-vector matrix.
@@ -230,42 +247,67 @@ def svm_train(x: np.ndarray, y, c: float, gamma: float,
     svm_axis("C", [c])
     svm_axis("gamma", [gamma])
     x = _finite_rows("training", x)
-    return _train_on_kernel(x, y, rbf_kernel(x, x, gamma), c, gamma, standardizer)
+    table = _pair_table(y)
+    if standardizer is None:
+        standardizer = _identity(x.shape[1])
+    return _train_on_kernel(x, table, rbf_kernel(x, x, gamma), c, gamma, standardizer)
 
 
-def _train_on_kernel(x: np.ndarray, y, kernel: np.ndarray, c: float,
-                     gamma: float, standardizer: Standardizer | None = None,
+def _identity(dim: int) -> Standardizer:
+    return Standardizer(np.zeros(dim), np.ones(dim))
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """The one-vs-one layout of a training label vector, which no C or
+    gamma changes. classes holds the sorted training classes. For the p-th
+    pair (ia, ib) of _class_pairs, rows[p] selects the training rows of its
+    two classes, and signs[p] holds +1 on those of classes[ia] and -1 on
+    those of classes[ib]."""
+
+    classes: tuple
+    rows: tuple[np.ndarray, ...]
+    signs: tuple[np.ndarray, ...]
+
+
+def _pair_table(y) -> _PairTable:
+    names, codes = np.unique(np.asarray(y), return_inverse=True)
+    classes = tuple(names.tolist())
+    if len(classes) < 2:
+        raise DegenerateClassError(f"need at least two classes, got {classes}")
+    rows, signs = [], []
+    for ia, ib in _class_pairs(len(classes)):
+        sel = np.flatnonzero((codes == ia) | (codes == ib))
+        rows.append(sel)
+        signs.append(np.where(codes[sel] == ia, 1.0, -1.0))
+    return _PairTable(classes, tuple(rows), tuple(signs))
+
+
+def _train_on_kernel(x: np.ndarray, table: _PairTable, kernel: np.ndarray,
+                     c: float, gamma: float, standardizer: Standardizer,
                      reusable: dict | None = None) -> SvmModel:
-    """svm_train given kernel = rbf_kernel(x, x, gamma); each pair's Gram
-    matrix is a slice of it, and its alpha * y fills the pair's coef column.
+    """svm_train given table = _pair_table(y) and kernel = rbf_kernel(x, x,
+    gamma); each pair's Gram matrix is a slice of it, and its alpha * y
+    fills the pair's coef column.
 
     reusable maps a pair's column to a bound-free solve of this kernel at a
     smaller C, which is also its solve at c; those pairs are not solved
     again, and every new bound-free solve is added to it.
     """
-    labels = np.asarray(y)
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise DegenerateClassError(f"need at least two classes, got {classes}")
-    if standardizer is None:
-        standardizer = Standardizer(np.zeros(x.shape[1]), np.ones(x.shape[1]))
     reusable = {} if reusable is None else reusable
-
-    pairs = _class_pairs(len(classes))
-    coef = np.zeros((len(labels), len(pairs)))
-    bias, residual, converged = (np.empty(len(pairs)), np.empty(len(pairs)),
-                                 np.empty(len(pairs), dtype=bool))
-    for p, (ia, ib) in enumerate(pairs):
-        sel = np.flatnonzero((labels == classes[ia]) | (labels == classes[ib]))
-        ys = np.where(labels[sel] == classes[ia], 1.0, -1.0)
-        solve = reusable.get(p) or smo_solve(kernel[np.ix_(sel, sel)], ys, c)
+    n_pairs = len(table.rows)
+    coef = np.zeros((len(x), n_pairs))
+    bias, residual, converged = (np.empty(n_pairs), np.empty(n_pairs),
+                                 np.empty(n_pairs, dtype=bool))
+    for p, (sel, ys) in enumerate(zip(table.rows, table.signs)):
+        solve = reusable.get(p) or smo_solve(kernel[sel[:, None], sel], ys, c)
         alpha, bias[p], residual[p], converged[p], _, bound_free = solve
         if bound_free:
             reusable[p] = solve
         keep = alpha > _SV_TRUNCATE
         coef[sel[keep], p] = (alpha * ys)[keep]
     used = coef.any(axis=1)
-    return SvmModel(classes, x[used], coef[used], bias, residual, converged,
+    return SvmModel(table.classes, x[used], coef[used], bias, residual, converged,
                     float(gamma), float(c), standardizer)
 
 
@@ -275,27 +317,35 @@ def svm_decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     return rbf_kernel(xs, model.support_vectors, model.gamma) @ model.coef + model.bias
 
 
+def _vote(decisions: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's winning class index by majority vote over its pair
+    decisions, columns in _class_pairs order.
+
+    Ties are broken by the summed |decision| margin of won pairs, then by
+    class order. Votes are counted by np.bincount; margins are summed by
+    np.add.at over the pairs in column order, so each class's margin adds
+    the same terms in the same order as a loop over the pairs.
+    """
+    n = decisions.shape[0]
+    first, second = _pair_ends(n_classes)
+    won = np.where(decisions > 0, first, second) + n_classes * np.arange(n)[:, None]
+    won = won.T.ravel()  # pair-major: pair 0 of every row, then pair 1, ...
+    votes = np.bincount(won, minlength=n * n_classes).reshape(n, n_classes)
+    margins = np.zeros(n * n_classes)
+    np.add.at(margins, won, np.abs(decisions).T.ravel())
+    # argmax takes the first maximum, so equal margins go to class order
+    top = votes == votes.max(axis=1, keepdims=True)
+    return np.argmax(np.where(top, margins.reshape(n, n_classes), -np.inf), axis=1)
+
+
 def svm_predict(model: SvmModel, x: np.ndarray):
-    """Majority vote over pair decisions.
+    """Majority vote over pair decisions (see _vote).
 
     Ties are broken by the summed |decision| margin of won pairs, then by
     class order. A single feature row yields a single label, a matrix yields
     an array of labels.
     """
-    decisions = svm_decision_values(model, x)
-    n = decisions.shape[0]
-    votes = np.zeros((n, len(model.classes)))
-    margins = np.zeros((n, len(model.classes)))
-    for col, (ka, kb) in enumerate(_class_pairs(len(model.classes))):
-        d = decisions[:, col]
-        winner_a = d > 0
-        votes[winner_a, ka] += 1
-        votes[~winner_a, kb] += 1
-        margins[winner_a, ka] += np.abs(d[winner_a])
-        margins[~winner_a, kb] += np.abs(d[~winner_a])
-    # argmax takes the first maximum, so equal margins go to class order
-    top = votes == votes.max(axis=1, keepdims=True)
-    winners = np.argmax(np.where(top, margins, -np.inf), axis=1)
+    winners = _vote(svm_decision_values(model, x), len(model.classes))
     labels = [model.classes[k] for k in winners]
     return labels[0] if np.ndim(x) == 1 else np.array(labels)
 
@@ -318,20 +368,31 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     gamma. An empty axis, or a value that is not a finite number > 0, is an
     InvalidSvmParamError; a non-finite feature is a NonFiniteFeatureError.
 
+    The pair table and the class codes are built once per call. A cell
+    scores the validation rows from their decision values alone: the
+    identity standardizer is skipped, since (x - 0) / 1 == x, and the
+    votes and the confusion counts are taken on class indices.
+
     C is walked in ascending order. A pair whose solve at some C was bound
     free (see smo_solve) is not solved again at any larger C of the same
     gamma: that solve is its solve there, bit for bit. A cell whose pairs
     are all reused holds the model of the cell at the previous C, so its
     validation UAR is one that already lost or tied, and it is skipped.
     """
-    from .evaluation import confusion, uar  # metric lives with the harness
+    from .evaluation import code_confusion, uar  # metric lives with the harness
 
     c_values, gamma_values = svm_axis("C", c_values), svm_axis("gamma", gamma_values)
     x_train, y_train = train
     x_valid, y_valid = valid
     x_train, x_valid = _finite_rows("training", x_train), _finite_rows("validation", x_valid)
-    classes = tuple(sorted(set(list(y_train) + list(y_valid))))
-    n_pairs = len(_class_pairs(len(np.unique(y_train))))
+    table = _pair_table(y_train)
+    n_own = len(table.classes)
+    # the classes of train and valid; the training classes and the
+    # validation labels as indices into them
+    classes, codes = np.unique(np.concatenate([table.classes, np.asarray(y_valid)]),
+                               return_inverse=True)
+    own, valid_codes = codes[:n_own], codes[n_own:]
+    identity = _identity(x_train.shape[1])
     # one distance matrix per call and one kernel per gamma: exp(-gamma * sq)
     # is exactly what svm_train's rbf_kernel(x_train, x_train, gamma) computes
     sq = sq_distances(x_train, x_train)
@@ -340,12 +401,12 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     best = None
     for c in c_values:
         for gamma, kernel, reuse in zip(gamma_values, kernels, reusable):
-            if reuse and len(reuse) == n_pairs:  # the previous C's model
+            if len(reuse) == len(table.rows):  # the previous C's model
                 continue
-            model = _train_on_kernel(x_train, y_train, kernel, c, gamma,
-                                     reusable=reuse)
-            pred = svm_predict(model, x_valid)
-            score = uar(confusion(list(y_valid), list(pred), classes))
+            model = _train_on_kernel(x_train, table, kernel, c, gamma, identity, reuse)
+            k_valid = rbf_kernel(x_valid, model.support_vectors, gamma)
+            pred = own[_vote(k_valid @ model.coef + model.bias, n_own)]
+            score = uar(code_confusion(valid_codes, pred, classes))
             if best is None or score > best.valid_uar:
                 best = GridSearchResult(c, gamma, score, model)
     return best

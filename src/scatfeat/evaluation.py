@@ -1,4 +1,10 @@
-"""Leave-one-speaker-out evaluation: folds, metrics, sweeps, reports."""
+"""Leave-one-speaker-out evaluation: folds, metrics, sweeps, reports.
+
+run_loso codes labels and speakers as integers once per call. Its folds are
+integer masks, grid_search trains and votes on label codes, and both count
+each confusion matrix with one np.bincount of codes (code_confusion); the
+labels come back only in the report.
+"""
 
 from __future__ import annotations
 
@@ -101,6 +107,14 @@ def confusion(true_labels, pred_labels, classes) -> ConfusionMatrix:
     return ConfusionMatrix(classes, counts)
 
 
+def code_confusion(true_codes, pred_codes, classes) -> ConfusionMatrix:
+    """confusion() for labels given as indices into classes, counted in one
+    np.bincount."""
+    k = len(classes)
+    counts = np.bincount(np.asarray(true_codes) * k + pred_codes, minlength=k * k)
+    return ConfusionMatrix(tuple(classes), counts.reshape(k, k))
+
+
 def uar(cm: ConfusionMatrix) -> float:
     """Unweighted average recall: mean of per-class recalls over non-empty
     rows (classes absent from the evaluated set are excluded)."""
@@ -188,29 +202,33 @@ def run_loso(rows: list[FeatureRow], c_values=RunConfig.svm_c,
                 f"row {rows[0].utterance_id!r} has {dim}")
     if gamma_values is None:
         gamma_values = tuple(s / dim for s in RunConfig.svm_gamma_scale)
+    splits = loso_splits(rows)
     classes = tuple(sorted({r.label for r in rows}))
+    label_code = {label: k for k, label in enumerate(classes)}
+    speaker_code = {test: k for k, (_, _, test) in enumerate(splits)}
     x_all = np.stack([r.vector for r in rows])
-    y_all = np.array([r.label for r in rows])
-    spk = np.array([r.speaker_id for r in rows])
+    y_all = np.array([label_code[r.label] for r in rows])
+    spk = np.array([speaker_code[r.speaker_id] for r in rows])
 
     folds = []
-    for train_speakers, valid_speaker, test_speaker in loso_splits(rows):
-        in_train = np.isin(spk, train_speakers)
-        in_valid = spk == valid_speaker
-        in_test = spk == test_speaker
+    for _, valid_speaker, test_speaker in splits:
+        in_valid = spk == speaker_code[valid_speaker]
+        in_test = spk == speaker_code[test_speaker]
+        in_train = ~(in_valid | in_test)
         std = standardize_fit(x_all[in_train])
         x_train, x_valid, x_test = (standardize_apply(std, x_all[m])
                                     for m in (in_train, in_valid, in_test))
         best = grid_search((x_train, y_all[in_train]), (x_valid, y_all[in_valid]),
                            c_values, gamma_values)
-        pred = svm_predict(best.model, x_test)
-        cm = confusion(list(y_all[in_test]), list(pred), classes)
+        # the model's classes are label codes; its warnings name the labels
+        model = replace(best.model, classes=tuple(classes[k] for k in best.model.classes))
+        cm = code_confusion(y_all[in_test], svm_predict(best.model, x_test), classes)
         folds.append(FoldReport(
             test_speaker=test_speaker, valid_speaker=valid_speaker,
             best_c=best.best_c, best_gamma=best.best_gamma,
             accuracy=accuracy(cm), uar=uar(cm), confusion=cm,
             missing_classes=missing_classes(cm),
-            convergence_warnings=tuple(best.model.convergence_warnings)))
+            convergence_warnings=tuple(model.convergence_warnings)))
 
     pooled = ConfusionMatrix(classes, sum(f.confusion.counts for f in folds))
     return ExperimentReport(

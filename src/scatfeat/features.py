@@ -109,14 +109,17 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
     """Write `#SCATFEAT v1 kind=<kind> dim=<d> config_hash=<hex>` plus one
     CSV row per utterance, floats at 17 significant digits, sorted by id.
     Ids and labels holding a comma or a quote are CSV-quoted. kind must be
-    one of FEATURE_KINDS."""
+    one of FEATURE_KINDS, and no utterance_id may appear twice."""
     if kind not in FEATURE_KINDS:
         raise ScatFeatError(f"unknown feature kind {kind!r}")
     rows = sorted(rows, key=lambda r: r.utterance_id)
     if not rows:
         raise ScatFeatError("no feature rows to write")
     dim = rows[0].vector.shape[0]
-    for r in rows:  # before the file is opened, so no partial file is left
+    # checked before the file is opened, so no partial file is left
+    for k, r in enumerate(rows):
+        if k and r.utterance_id == rows[k - 1].utterance_id:  # sorted, so adjacent
+            raise ScatFeatError(f"{r.utterance_id}: duplicate utterance_id")
         if r.vector.shape[0] != dim:
             raise ScatFeatError(f"{r.utterance_id}: dim {r.vector.shape[0]} != {dim}")
         if not np.isfinite(r.vector).all():  # read_feature_file rejects them
@@ -131,7 +134,8 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
 
 def read_feature_file(path):
     """Parse a SCATFEAT v1 file; returns (kind, config_hash, rows). A kind
-    outside FEATURE_KINDS is rejected."""
+    outside FEATURE_KINDS is rejected, and so is an utterance_id that
+    appears twice (the error names the line of the second)."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"#{FORMAT_TAG} "):
@@ -145,7 +149,7 @@ def read_feature_file(path):
             raise ScatFeatError(f"{path}:1: unknown feature kind {kind!r}")
         if dim < 1:
             raise ScatFeatError(f"{path}:1: dim must be at least 1, got {dim}")
-        rows = []
+        rows, first_line = [], {}
         reader = csv.reader(fh)  # the header line is already consumed
         for parts in reader:
             if not parts:
@@ -153,6 +157,11 @@ def read_feature_file(path):
             if len(parts) != 3 + dim:
                 raise ScatFeatError(
                     f"{path}:{reader.line_num + 1}: expected {3 + dim} fields")
+            if parts[0] in first_line:
+                raise ScatFeatError(
+                    f"{path}:{reader.line_num + 1}: duplicate utterance_id "
+                    f"{parts[0]!r}, first on line {first_line[parts[0]]}")
+            first_line[parts[0]] = reader.line_num + 1
             try:
                 vec = np.array(parts[3:], dtype=np.float64)
             except ValueError as exc:

@@ -543,6 +543,41 @@ class TestSvmPredict:
         assert list(svm_predict(model, probe)) == vote_reference(
             model, svm_decision_values(model, probe))
 
+    @staticmethod
+    def seven_class_model(decisions):
+        """Seven classes a-g and no support vectors: each of the 21 pair
+        decisions is the pair's bias."""
+        return SvmModel(tuple("abcdefg"), np.empty((0, 2)), np.empty((0, 21)),
+                        np.array(decisions, dtype=float), np.zeros(21),
+                        np.ones(21, dtype=bool), 1.0, 1.0,
+                        Standardizer(np.zeros(2), np.ones(2)))
+
+    def test_random_seven_class_votes_match_reference(self, rng):
+        # the integer rows tie on votes and on margins often; 0 votes the
+        # pair's second class with a margin of 0
+        rows = np.vstack([rng.normal(0, 1, (150, 21)),
+                          rng.integers(-2, 3, (150, 21)).astype(float)])
+        probe = np.zeros(2)
+        for row in rows:
+            model = self.seven_class_model(row)
+            assert svm_predict(model, probe) == vote_reference(model, [row])[0], row
+
+    def test_margins_summed_in_pair_order(self):
+        """Every class wins 3 of the 21 pairs (class i beats i + 1, i + 2
+        and i + 3 mod 7). b wins (b, c), (b, d), (b, e) by 0.1, 0.2, 0.3 and
+        a wins (a, b), (a, c), (a, d) by 0.3, 0.2, 0.1; every other won
+        margin is 0.01. Summed in pair order, b's margin is 0.1 + 0.2 + 0.3
+        > 0.6 == 0.3 + 0.2 + 0.1, a's; summed in any one other order that
+        swaps them, the class order would pick a."""
+        assert 0.1 + 0.2 + 0.3 > 0.3 + 0.2 + 0.1 == 0.6
+        margins = {(1, 2): 0.1, (1, 3): 0.2, (1, 4): 0.3,
+                   (0, 1): 0.3, (0, 2): 0.2, (0, 3): 0.1}
+        row = [margins.get((i, j), 0.01) * (1.0 if j - i <= 3 else -1.0)
+               for i, j in itertools.combinations(range(7), 2)]
+        model = self.seven_class_model(row)
+        assert svm_predict(model, np.zeros(2)) == "b"
+        assert vote_reference(model, [row]) == ["b"]
+
 
 class TestGridSearch:
     def test_single_point(self, rng):

@@ -13,7 +13,8 @@ from scatfeat.errors import (DimensionMismatchError, EmptyMatrixError,
                              NonFiniteFeatureError, ScatFeatError,
                              TooFewRowsError, TooFewSpeakersError,
                              UnknownLabelError)
-from scatfeat.evaluation import (ConfusionMatrix, FeatureRow, ManifestRow,
+from scatfeat.evaluation import (ConfusionMatrix, ExperimentReport,
+                                 FeatureRow, FoldReport, ManifestRow,
                                  accuracy, confusion, confusion_to_text,
                                  load_manifest, loso_splits,
                                  manifest_warnings, missing_classes,
@@ -259,6 +260,61 @@ class TestRunLoso:
             cm = confusion(list(y[in_test]), list(svm_predict(model, x[in_test])),
                            report.classes)
             assert np.array_equal(cm.counts, fold.confusion.counts)
+
+
+    @pytest.mark.parametrize("max_iter", [None, 3])
+    def test_matches_a_slow_reference(self, rng, monkeypatch, max_iter):
+        """run_loso equals a harness built from public pieces: svm_train per
+        cell in C-then-gamma order, the first strict maximum of validation
+        UAR, svm_predict and confusion on the label strings. Speaker s3
+        alone holds class c, so fold 2 validates on a class absent from its
+        training rows and fold 3 tests on one. With max_iter the SMO stops
+        early, so the warnings, which name the labels, are compared too."""
+        if max_iter is not None:
+            solve = scatfeat.classify.smo_solve
+            monkeypatch.setattr(scatfeat.classify, "smo_solve",
+                                lambda kernel, y, c: solve(kernel, y, c, max_iter=max_iter))
+        rows = []
+        for si in range(4):
+            for ci in range(3 if si == 3 else 2):
+                for k in range(5):
+                    vec = rng.normal(0, 0.8, 4)
+                    vec[ci] += 1.5
+                    vec[3] += 0.3 * si
+                    rows.append(FeatureRow(f"s{si}c{ci}k{k}", f"s{si}", "abc"[ci], vec))
+        c_values, gamma_values = (0.1, 1.0, 10.0), (0.05, 0.5)
+        report = run_loso(rows, c_values=c_values, gamma_values=gamma_values)
+
+        classes = ("a", "b", "c")
+        x = np.stack([r.vector for r in rows])
+        y = np.array([r.label for r in rows])
+        spk = np.array([r.speaker_id for r in rows])
+        folds = []
+        for train, valid, test in loso_splits(rows):
+            in_train, in_valid, in_test = np.isin(spk, train), spk == valid, spk == test
+            std = standardize_fit(x[in_train])
+            x_train, x_valid, x_test = (standardize_apply(std, x[m])
+                                        for m in (in_train, in_valid, in_test))
+            best = None
+            for c in c_values:
+                for gamma in gamma_values:
+                    model = svm_train(x_train, y[in_train], c, gamma)
+                    score = uar(confusion(list(y[in_valid]),
+                                          list(svm_predict(model, x_valid)), classes))
+                    if best is None or score > best[0]:
+                        best = (score, c, gamma, model)
+            _, c, gamma, model = best
+            cm = confusion(list(y[in_test]), list(svm_predict(model, x_test)), classes)
+            folds.append(FoldReport(test, valid, c, gamma, accuracy(cm), uar(cm), cm,
+                                    missing_classes(cm), tuple(model.convergence_warnings)))
+        pooled = ConfusionMatrix(classes, sum(f.confusion.counts for f in folds))
+        expected = ExperimentReport(
+            "", "", classes, tuple(folds), float(np.mean([f.accuracy for f in folds])),
+            float(np.mean([f.uar for f in folds])), pooled, accuracy(pooled), uar(pooled))
+
+        assert report_to_json_dict(report) == report_to_json_dict(expected)
+        assert "c" not in y[np.isin(spk, loso_splits(rows)[2][0])]
+        assert bool(report.convergence_warnings) == (max_iter is not None)
 
 
 class TestRendering:

@@ -259,6 +259,22 @@ class TestFeatureFile:
             write_feature_file(path, "mfcc", rows, "abc123")
         assert not path.exists()
 
+    def test_duplicate_id_writes_nothing(self, tmp_path, rng):
+        rows = self.rows(rng)
+        rows.append(FeatureRow("u1", "s0", "lab", rng.standard_normal(5)))
+        path = tmp_path / "f.csv"
+        with pytest.raises(ScatFeatError, match="u1: duplicate utterance_id"):
+            write_feature_file(path, "mfcc", rows, "abc123")
+        assert not path.exists()
+
+    def test_duplicate_id_rejected_on_read(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=1 config_hash=x\n"
+                        "u0,s0,lab,1.0\nu1,s1,lab,2.0\n\nu0,s2,lab,3.0\n")
+        with pytest.raises(ScatFeatError, match=r"dup\.csv:5: duplicate utterance_id "
+                                                r"'u0', first on line 2"):
+            read_feature_file(path)
+
     def test_rewrite_byte_identical(self, tmp_path, rng):
         rows = self.rows(rng)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
