@@ -90,19 +90,20 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
-              tol: float = SOLVER_TOL, max_iter: int = MAX_SMO_ITER):
+              max_iter: int = MAX_SMO_ITER):
     """Solve the binary soft-margin SVM dual by sequential minimal
     optimization with maximal-violating-pair working-set selection.
 
     y holds +-1 labels; kernel is the full Gram matrix. Iterates until the
-    KKT violation max_{i in I_up} v_i - min_{j in I_low} v_j <= tol, where
-    v = y - Ka (with a = alpha*y), or until max_iter updates. Ties in the
+    KKT violation max_{i in I_up} v_i - min_{j in I_low} v_j <= SOLVER_TOL,
+    where v = y - Ka (with a = alpha*y), or until max_iter updates. The
+    tolerance is a module constant, the same for every solve. Ties in the
     working set go to the lowest index, which makes the solver
     deterministic for a fixed input order.
 
     Returns (alpha, bias, kkt_residual, converged, n_iter, bound_free);
-    converged is kkt_residual <= tol, also when the max_iter-th update
-    reached it. bound_free says that no step was cut at an upper limit
+    converged is kkt_residual <= SOLVER_TOL, also when the max_iter-th
+    update reached it. bound_free says that no step was cut at an upper limit
     c - alpha and that every alpha stayed below c - 1e-12, so the solve
     at any larger C returns the same bits. c must be a finite number > 0,
     else InvalidSvmParamError; y needs both signs, else
@@ -139,7 +140,7 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
         i, j = w.argmax(axis=1).tolist()
         vi_max, vj_min = w.item(0, i), -w.item(1, j)
         violation = vi_max - vj_min
-        if violation <= tol or n_iter == max_iter:
+        if violation <= SOLVER_TOL or n_iter == max_iter:
             break
         quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
         step = violation / (_STD_FLOOR if _STD_FLOOR > quad else quad)
@@ -180,7 +181,7 @@ def smo_solve(kernel: np.ndarray, y: np.ndarray, c: float,
         bias = float(np.mean(w[0][free]))
     else:
         bias = float((vi_max + vj_min) / 2.0)
-    return alpha, bias, float(violation), bool(violation <= tol), n_iter, bound_free
+    return alpha, bias, float(violation), bool(violation <= SOLVER_TOL), n_iter, bound_free
 
 
 def _class_pairs(n_classes: int) -> list[tuple[int, int]]:

@@ -11,15 +11,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .audio_io import next_pow2
-from .classify import model_to_json, svm_train
+from .classify import (model_to_json, standardize_apply, standardize_fit,
+                       svm_train)
 from .config import (FEATURE_KINDS, RunConfig, config_to_text,
                      feature_config_hash, load_config)
 from .errors import ScatFeatError
 from .evaluation import (confusion_to_text, load_manifest, manifest_warnings,
                          param_sweep, report_to_csv, report_to_json_dict,
                          run_loso)
-from .features import extract_to_file, read_feature_file
+from .features import extract_many, read_feature_file, write_feature_file
 from .filterbank import FilterBankSpec, bank_to_csv_rows, build_morlet_bank
 
 USAGE_ERROR, DATA_ERROR, CONVERGENCE_WARNING = 1, 2, 3
@@ -103,22 +106,19 @@ def _cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     for warning in manifest_warnings(manifest):
         print(f"warning: {warning}", file=sys.stderr)
-    errors = extract_to_file(manifest, kind, cfg, args.out,
-                             n_workers=args.threads)
+    rows, errors = extract_many(manifest, kind, cfg, n_workers=args.threads)
+    config_hash = feature_config_hash(cfg, kind)
+    if rows:
+        write_feature_file(args.out, kind, rows, config_hash)
     if errors:
         for uid, msg in errors:
             print(f"error: {uid}: {msg}", file=sys.stderr)
         return DATA_ERROR
-    print(f"wrote {args.out} (kind={kind}, "
-          f"config_hash={feature_config_hash(cfg, kind)})")
+    print(f"wrote {args.out} (kind={kind}, config_hash={config_hash})")
     return 0
 
 
 def _cmd_train(args) -> int:
-    import numpy as np
-
-    from .classify import standardize_apply, standardize_fit
-
     kind, config_hash, rows = read_feature_file(args.features)
     x = np.stack([r.vector for r in rows])
     y = np.array([r.label for r in rows])
@@ -175,10 +175,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
     manifest = load_manifest(args.manifest)
-    report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
     rows = param_sweep(manifest, args.q, args.t, cfg,
                        n_workers=args.threads)
+    report_dir = Path(args.report_dir)  # made only once there are results
+    report_dir.mkdir(parents=True, exist_ok=True)
     lines = ["q,t,mean_accuracy,mean_uar"]
     for r in rows:
         lines.append(f"{r.q},{r.t},{r.mean_accuracy:.17g},{r.mean_uar:.17g}")

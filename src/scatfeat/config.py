@@ -109,8 +109,8 @@ def _parse_value(name: str, raw):
     try:
         if kind != "bool" and any(isinstance(v, bool) for v in (raw, *items)):
             raise ValueError  # int() and float() would take JSON true as 1
-        if kind == "tuple":
-            value = tuple(float(v) for v in items if str(v).strip())
+        if kind == "tuple":  # an empty item fails float(); an empty value is ()
+            value = tuple(float(v) for v in items) if raw != "" else ()
         elif kind == "int" and isinstance(raw, float):
             raise ValueError  # int() would truncate 8.7
         else:
@@ -126,16 +126,17 @@ def _parse_value(name: str, raw):
 
 def config_from_text(text: str) -> RunConfig:
     """Parse either a JSON object or flat key=value lines (# comments).
+    A repeated key is an error, which names the lines of key=value text.
     Retired keys are checked, then dropped."""
     text = text.strip()
-    values = {}
     if text.startswith("{"):
-        try:
-            pairs = json.loads(text).items()
+        try:  # pairs in file order, so a repeated key is still there to see
+            pairs = [(key, val, None) for key, val in
+                     json.loads(text, object_pairs_hook=list)]
         except json.JSONDecodeError as exc:
             raise ScatFeatError(f"malformed JSON config: {exc}") from None
-        values = {key: _parse_value(key, val) for key, val in pairs}
     else:
+        pairs = []
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -143,7 +144,13 @@ def config_from_text(text: str) -> RunConfig:
             if "=" not in line:
                 raise ScatFeatError(f"config line {lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip()] = _parse_value(key.strip(), val)
+            pairs.append((key.strip(), val, lineno))
+    values, first_line = {}, {}
+    for key, val, lineno in pairs:
+        if key in values:
+            where = f" on lines {first_line[key]} and {lineno}" if lineno else ""
+            raise ScatFeatError(f"config key {key!r} repeated{where}")
+        values[key], first_line[key] = _parse_value(key, val), lineno
     return RunConfig(**{k: v for k, v in values.items() if k not in _RETIRED})
 
 

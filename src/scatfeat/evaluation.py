@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classify import (grid_search, standardize_apply, standardize_fit,
                        svm_predict)
-from .config import RunConfig
+from .config import RunConfig, feature_config_hash
 from .errors import (DimensionMismatchError, EmptyMatrixError, ScatFeatError,
                      TooFewRowsError, TooFewSpeakersError, UnknownLabelError)
 from .filterbank import FilterBankSpec
@@ -47,9 +48,8 @@ def load_manifest(path) -> list[ManifestRow]:
             rows.append(ManifestRow(*r))
     if not rows:
         raise ScatFeatError(f"{path}: manifest has no rows")
-    ids = [r.utterance_id for r in rows]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, n in Counter(r.utterance_id for r in rows).items() if n > 1)
+    if dupes:
         raise ScatFeatError(f"{path}: duplicate utterance_ids {dupes[:5]}")
     return rows
 
@@ -244,7 +244,7 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
                    n_workers: int | None = None) -> ExperimentReport:
     """Extract features for every manifest row, then run the LOSO harness on
     run_cfg's SVM grid."""
-    from .features import extract_many, feature_config_hash
+    from .features import extract_many
 
     if not manifest:
         raise TooFewRowsError("experiment needs manifest rows, got none")

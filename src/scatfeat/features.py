@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .audio_io import SAMPLE_RATE_HZ, Waveform, fix_length, load_wav, resample
-from .config import FEATURE_KINDS, RunConfig, feature_config_hash
+from .config import FEATURE_KINDS, RunConfig
 from .errors import NonFiniteFeatureError, ScatFeatError, SignalTooShortError
 from .evaluation import FeatureRow, ManifestRow
 from .filterbank import cached_bank
@@ -24,12 +24,13 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
     """Utterance-level feature vector of the requested kind.
 
     The waveform is resampled to SAMPLE_RATE_HZ when needed; every kind
-    operates on exactly cfg.n samples. A scattering vector is the row mean
-    of ln(frames + cfg.log_eps): the log is taken once, here, on every row
-    of the linear frames, frequency-scattering rows included. The layer
-    subsets are slices of the scatnet vector: scat-layer1 keeps orders 0
-    and 1, scat-layer2 order 2. scat-layer1 runs time_scattering with
-    max_order=1, which returns those rows alone, bit for bit, without
+    operates on exactly cfg.n samples. n is the only field the mfcc kind
+    reads: its other settings are fixed (see mfcc). A scattering vector is
+    the row mean of ln(frames + cfg.log_eps): the log is taken once, here,
+    on every row of the linear frames, frequency-scattering rows included.
+    The layer subsets are slices of the scatnet vector: scat-layer1 keeps
+    orders 0 and 1, scat-layer2 order 2. scat-layer1 runs time_scattering
+    with max_order=1, which returns those rows alone, bit for bit, without
     layer 2; pooling is per row, so its vector is still the slice.
 
     Classifying log coefficients follows Anden & Mallat, "Deep Scattering
@@ -45,7 +46,7 @@ def extract_vector(kind: str, w: Waveform, cfg: RunConfig) -> np.ndarray:
         raise ScatFeatError(f"unknown feature kind {kind!r}")
     w = resample(w, SAMPLE_RATE_HZ)
     if kind == "mfcc":
-        return mfcc_utterance(fix_length(w, cfg.n), cfg)
+        return mfcc_utterance(fix_length(w, cfg.n))
     if kind == "scat-layer1":
         frames = time_scattering(w, cfg, max_order=1)
     else:
@@ -175,11 +176,3 @@ def read_feature_file(path):
         raise ScatFeatError(f"{path}: no feature rows")
     return kind, config_hash, rows
 
-
-def extract_to_file(manifest: list[ManifestRow], kind: str, cfg: RunConfig,
-                    out_path, n_workers: int | None = None):
-    """Extract and persist; returns the error list (empty on full success)."""
-    rows, errors = extract_many(manifest, kind, cfg, n_workers=n_workers)
-    if rows:
-        write_feature_file(out_path, kind, rows, feature_config_hash(cfg, kind))
-    return errors

@@ -114,10 +114,6 @@ class BandpassFilter:
         return self.band.shape[0]
 
     @property
-    def support(self) -> tuple[int, int]:
-        return self.start, self.width
-
-    @property
     def response(self) -> np.ndarray:
         """The gain over all n_fft bins, built on each read; read-only."""
         out = np.zeros(self.n_fft)
@@ -130,7 +126,10 @@ class BandpassFilter:
 class FilterBank:
     """Band-pass filters, the low-pass and their spec; taps and tap_offsets
     hold phi sampled every spec.hop over its frame offsets (see
-    lowpass_taps)."""
+    lowpass_taps). Per-filter values (start, width, bandwidth) are read
+    from filters; the bank derives only what callers read of it: the center
+    frequencies and geometric indices the transforms use, and the dense
+    responses the references compare against."""
 
     filters: tuple[BandpassFilter, ...]
     lowpass: np.ndarray
@@ -154,17 +153,8 @@ class FilterBank:
         return out
 
     @property
-    def supports(self) -> tuple[tuple[int, int], ...]:
-        """(start, width) of every filter's support."""
-        return tuple(f.support for f in self.filters)
-
-    @property
     def center_freqs(self) -> np.ndarray:
         return np.array([f.center_freq_normalized for f in self.filters])
-
-    @property
-    def bandwidths(self) -> np.ndarray:
-        return np.array([f.bandwidth for f in self.filters])
 
     def geometric_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.filters) if f.region == "geo"]

@@ -1,6 +1,14 @@
-"""13-coefficient MFCC baseline with mean + std utterance pooling."""
+"""13-coefficient MFCC baseline with mean + std utterance pooling.
+
+Its settings are the standard baseline's (Davis & Mermelstein, IEEE TASSP
+1980), fixed as RunConfig class constants: 20 ms Hamming windows every
+10 ms, a 512-point DFT, 26 mel bands over 0-8000 Hz and 13 coefficients,
+at SAMPLE_RATE_HZ. No function here takes a config.
+"""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import fft as sfft
@@ -20,9 +28,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: RunConfig = RunConfig()) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def mel_filterbank() -> np.ndarray:
     """Triangular filters, peaks uniformly spaced on the mel scale, each
-    peak-normalized to 1. Shape (n_mels, mfcc_n_fft//2 + 1)."""
+    peak-normalized to 1. Shape (n_mels, mfcc_n_fft//2 + 1); built once and
+    shared, so read-only."""
+    cfg = RunConfig
     edges = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz),
                                   cfg.n_mels + 2))
     bins_hz = np.arange(cfg.mfcc_n_fft // 2 + 1) * SAMPLE_RATE_HZ / cfg.mfcc_n_fft
@@ -32,10 +43,11 @@ def mel_filterbank(cfg: RunConfig = RunConfig()) -> np.ndarray:
         rising = (bins_hz - left) / (center - left)
         falling = (right - bins_hz) / (right - center)
         bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 
-def mfcc_frames(w: Waveform, cfg: RunConfig = RunConfig()) -> np.ndarray:
+def mfcc_frames(w: Waveform) -> np.ndarray:
     """MFCC matrix of shape (n_coeffs, n_frames).
 
     Hamming window, magnitude-squared DFT, mel energies, natural log with a
@@ -44,17 +56,17 @@ def mfcc_frames(w: Waveform, cfg: RunConfig = RunConfig()) -> np.ndarray:
     if w.sample_rate_hz != SAMPLE_RATE_HZ:
         raise SampleRateError(
             f"expected {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz}")
-    win, hop = cfg.win_samples, cfg.hop_samples
+    win, hop = RunConfig.win_samples, RunConfig.hop_samples
     x = w.samples
     if x.size < win:
         raise SignalTooShortError(f"signal of {x.size} samples < window {win}")
     n_frames = 1 + (x.size - win) // hop
     idx = hop * np.arange(n_frames)[:, None] + np.arange(win)[None, :]
     frames = x[idx] * np.hamming(win)
-    power = np.abs(sfft.rfft(frames, n=cfg.mfcc_n_fft, axis=1)) ** 2
-    mel_energy = mel_filterbank(cfg) @ power.T
+    power = np.abs(sfft.rfft(frames, n=RunConfig.mfcc_n_fft, axis=1)) ** 2
+    mel_energy = mel_filterbank() @ power.T
     log_mel = np.log(mel_energy + _LOG_FLOOR)
-    return sfft.dct(log_mel, type=2, axis=0, norm="ortho")[: cfg.n_coeffs]
+    return sfft.dct(log_mel, type=2, axis=0, norm="ortho")[: RunConfig.n_coeffs]
 
 
 def mfcc_stats(frames: np.ndarray) -> np.ndarray:
@@ -64,5 +76,5 @@ def mfcc_stats(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([frames.mean(axis=1), frames.std(axis=1)])
 
 
-def mfcc_utterance(w: Waveform, cfg: RunConfig = RunConfig()) -> np.ndarray:
-    return mfcc_stats(mfcc_frames(w, cfg))
+def mfcc_utterance(w: Waveform) -> np.ndarray:
+    return mfcc_stats(mfcc_frames(w))

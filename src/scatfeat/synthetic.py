@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import SAMPLE_RATE_HZ
+
 DEFAULT_CARRIERS_HZ = {"spk1": 600.0, "spk2": 1200.0, "spk3": 2400.0,
                        "spk4": 4800.0}
 DEFAULT_MOD_RATES_HZ = {"mod4": 4.0, "mod16": 16.0, "mod64": 64.0}
@@ -49,8 +51,9 @@ def am_utterance(rng: np.random.Generator, carrier_hz: float, mod_hz: float,
 
 def write_am_dataset(root, carriers_hz: dict = None, mod_rates_hz: dict = None,
                      utterances_per_cell: int = 10, n_samples: int = 51000,
-                     sample_rate_hz: int = 16000, seed: int = 2024):
-    """Generate WAVs plus a manifest.csv under root; returns the manifest path.
+                     seed: int = 2024):
+    """Generate PCM16 WAVs at SAMPLE_RATE_HZ plus a manifest.csv under
+    root; returns the manifest path.
 
     Deterministic for a fixed seed: every (speaker, class, index) cell gets
     its own child generator.
@@ -64,10 +67,10 @@ def write_am_dataset(root, carriers_hz: dict = None, mod_rates_hz: dict = None,
         for ci, (label, rate) in enumerate(sorted(mod_rates_hz.items())):
             for k in range(utterances_per_cell):
                 rng = np.random.default_rng([seed, si, ci, k])
-                x = am_utterance(rng, carrier, rate, n_samples, sample_rate_hz)
+                x = am_utterance(rng, carrier, rate, n_samples, SAMPLE_RATE_HZ)
                 uid = f"{speaker}_{label}_{k:03d}"
                 wav_path = root / f"{uid}.wav"
-                write_wav_pcm16(wav_path, x, sample_rate_hz)
+                write_wav_pcm16(wav_path, x, SAMPLE_RATE_HZ)
                 rows.append((uid, str(wav_path), speaker, label))
     manifest_path = root / "manifest.csv"
     with open(manifest_path, "w", newline="") as fh:

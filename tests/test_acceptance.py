@@ -128,7 +128,6 @@ def test_a5_deformation_stability_vs_mfcc():
     # feature maps at their canonical scales (unit Littlewood-Paley max;
     # orthonormal-DCT log MFCC).
     rng = np.random.default_rng(55)
-    mcfg = RunConfig()
     epsilons = (0.002, 0.005, 0.01)
     wins = {e: 0 for e in epsilons}
     for trial in range(10):
@@ -149,13 +148,13 @@ def test_a5_deformation_stability_vs_mfcc():
         w0 = Waveform(x * scale, FS)
         x_norm = np.linalg.norm(w0.samples)
         scat0 = time_scattering(w0, CFG).mean(axis=1)
-        mfcc0 = mfcc_stats(mfcc_frames(w0, mcfg))
+        mfcc0 = mfcc_stats(mfcc_frames(w0))
         for eps in epsilons:
             w1 = Waveform(signal_at((1.0 - eps) * tt) * scale, FS)
             scat_dev = np.linalg.norm(
                 time_scattering(w1, CFG).mean(axis=1) - scat0) / x_norm
             mfcc_dev = np.linalg.norm(
-                mfcc_stats(mfcc_frames(w1, mcfg)) - mfcc0) / x_norm
+                mfcc_stats(mfcc_frames(w1)) - mfcc0) / x_norm
             if scat_dev < mfcc_dev:
                 wins[eps] += 1
     for eps in epsilons:
@@ -169,7 +168,7 @@ def test_a6_mfcc_oracle():
     worst = 0.0
     for trial in range(20):
         x = rng.standard_normal(FS) * rng.uniform(0.05, 0.5)
-        fast = mfcc_frames(Waveform(x, FS), RunConfig())
+        fast = mfcc_frames(Waveform(x, FS))
         slow = reference_mfcc(x)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
         assert worst < 1e-9, trial

@@ -185,7 +185,9 @@ class TestBadSvmGrid:
                                              capsys, monkeypatch, line):
         calls = counting(monkeypatch, "extract_vector")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(cfg_file.read_text() + line + "\n")
+        key = line.split("=")[0] + "="  # set in place: a key may appear once
+        kept = [ln for ln in cfg_file.read_text().splitlines() if not ln.startswith(key)]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
                      "--t", "512", "--config", str(cfg), "--threads", "1",
                      "--report-dir", str(tmp_path / "rep")]) == 2
@@ -374,6 +376,15 @@ class TestSweep:
                      "--config", str(cfg_file),
                      "--report-dir", str(tmp_path / "x")])
         assert code == 2
+
+    def test_failed_sweep_leaves_no_report_dir(self, mini_corpus, cfg_file, tmp_path,
+                                               capsys):
+        report_dir = tmp_path / "out"
+        assert main(["sweep", "--manifest", str(mini_corpus), "--q", "5",
+                     "--t", "1000", "--config", str(cfg_file),
+                     "--report-dir", str(report_dir)]) == 2
+        assert "t must be a power of two, got 1000" in capsys.readouterr().err
+        assert not report_dir.exists()
 
 
 class TestInspectFilters:

@@ -136,6 +136,29 @@ class TestConfig:
         with pytest.raises(ScatFeatError, match=f"config key '{key}': not a valid"):
             config_from_text(text)
 
+    @pytest.mark.parametrize("text, match", [
+        ("q1=3\nq1=8\n", "config key 'q1' repeated on lines 1 and 2"),
+        ("# grid\nsvm_c=1\n\nq1=3\nsvm_c = 10\n",
+         "config key 'svm_c' repeated on lines 2 and 5"),
+        ('{"q1": 3, "q1": 8}', "config key 'q1' repeated"),
+    ])
+    def test_repeated_keys_rejected(self, text, match):
+        with pytest.raises(ScatFeatError, match=match):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("text", ["svm_c=1,,10\n", "svm_c=1,10,\n",
+                                      "svm_gamma_scale=1, ,10\n",
+                                      '{"svm_c": [1, ""]}', '{"svm_c": "1,,10"}'])
+    def test_empty_list_items_rejected(self, text):
+        with pytest.raises(ScatFeatError, match="not a valid tuple"):
+            config_from_text(text)
+
+    def test_load_config_names_the_file_of_a_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("t=1024\nt=2048\n")
+        with pytest.raises(ScatFeatError, match=f"{path}: config key 't' repeated"):
+            load_config(path)
+
     @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
     def test_constructor_rejects(self, values, text, match):
         with pytest.raises(ScatFeatError, match=match):

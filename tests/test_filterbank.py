@@ -85,7 +85,8 @@ class TestConstruction:
         a = build_morlet_bank(FilterBankSpec(5, 4096, 16384))
         b = build_morlet_bank(FilterBankSpec(5, 4096, 32768))
         assert np.allclose(a.center_freqs, b.center_freqs, atol=1e-9, rtol=0)
-        assert np.allclose(a.bandwidths, b.bandwidths, atol=1e-9, rtol=0)
+        assert np.allclose([f.bandwidth for f in a.filters], [f.bandwidth for f in b.filters],
+                           atol=1e-9, rtol=0)
 
     def test_bandwidth_fields(self):
         q, t = 5, 4096

@@ -2,34 +2,40 @@ import numpy as np
 import pytest
 
 from scatfeat.audio_io import Waveform
-from scatfeat.config import RunConfig
 from scatfeat.errors import SignalTooShortError, TooFewFramesError
 from scatfeat.mfcc import mel_filterbank, mfcc_frames, mfcc_stats, mfcc_utterance
 
 from testkit import FS, reference_mfcc
 
-CFG = RunConfig()
-
 
 class TestMelFilterbank:
     def test_rows_all_nonempty(self):
-        bank = mel_filterbank(CFG)
+        bank = mel_filterbank()
         assert bank.shape == (26, 257)
         assert np.all(bank.sum(axis=1) > 0)
 
     def test_peaks_strictly_increasing(self):
-        bank = mel_filterbank(CFG)
+        bank = mel_filterbank()
         peaks = bank.argmax(axis=1)
         assert np.all(np.diff(peaks) > 0)
 
     def test_dc_bin_zero(self):
-        bank = mel_filterbank(CFG)
+        bank = mel_filterbank()
         assert bank[0, 0] == 0.0
 
     def test_peak_normalized(self):
-        bank = mel_filterbank(CFG)
+        bank = mel_filterbank()
         assert np.all(bank.max(axis=1) <= 1.0)
         assert np.all(bank.max(axis=1) > 0.8)
+
+    def test_built_once_and_read_only(self):
+        """Every mfcc_frames call multiplies by the same matrix, so no
+        caller may change it."""
+        bank = mel_filterbank()
+        assert mel_filterbank() is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
 
 
 class TestMfccFrames:
