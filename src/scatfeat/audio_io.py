@@ -159,7 +159,7 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         raise ValueError("target_hz must be positive")
     if target_hz == w.sample_rate_hz:
         return w
-    from scipy import signal  # about half of the package's import time
+    from scipy import signal  # loads scipy.fft too; 16 kHz scattering loads neither
 
     g = math.gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g

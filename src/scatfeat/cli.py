@@ -43,10 +43,12 @@ def _worker_count(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(v) for v in text.split(",") if v.strip()]
-    if not values:
+    items = text.split(",")
+    if not any(v.strip() for v in items):
         raise argparse.ArgumentTypeError(f"needs at least one integer, got {text!r}")
-    return values
+    if not all(v.strip() for v in items):
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+    return [int(v) for v in items]
 
 
 def _load_run_config(path: str | None) -> RunConfig:

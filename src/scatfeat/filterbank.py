@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .audio_io import SAMPLE_RATE_HZ
 from .errors import InvalidSpecError
@@ -191,6 +190,22 @@ def _place(out: np.ndarray, band: np.ndarray, start: int, n_fft: int,
             out[a - lo:b - lo] = band[j:j + b - a]
 
 
+def real_fft(x: np.ndarray, norm: str = "backward") -> np.ndarray:
+    """The full DFT of real x along its last axis, built as scipy.fft.fft
+    builds it for real input, so bit for bit its result: numpy's real FFT
+    gives bins 0 to n // 2, and each bin k of it is also written to bin
+    (n - k) mod n as its conjugate (bin 0, and n / 2 for even n, onto
+    itself). np.fft.fft transforms real x as complex and rounds
+    differently."""
+    n, m = x.shape[-1], (x.shape[-1] + 1) // 2
+    half = np.fft.rfft(x, norm=norm)
+    out = np.empty(x.shape[:-1] + (n,), dtype=complex)
+    out[..., :m] = half[..., :m]
+    np.conjugate(half[..., :0:-1], out=out[..., m:])
+    np.conjugate(half[..., 0], out=out[..., 0])
+    return out
+
+
 def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """(taps, offsets) of phi = real(ifft(lowpass)) at stride hop: row k of
     taps holds phi[offsets[k] * hop - b] for b < hop (indices mod n_fft).
@@ -198,8 +213,13 @@ def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]
     rounding that the ifft leaves in phi, and is dropped; at most n_fft
     floats remain. The offsets ascend in their largest |tap|, so the
     shift-and-add of scattering.lowpass_average adds the smallest terms
-    first. Both arrays are read-only."""
-    phi = np.real(sfft.ifft(lowpass))
+    first. Both arrays are read-only.
+
+    phi is real_fft(lowpass, norm="forward").real: scipy inverts real input
+    as a forward real FFT scaled by 1/n_fft and conjugated, which leaves the
+    real part alone, so phi holds scipy.fft.ifft's bits; np.fft.ifft(lowpass)
+    misses them by up to 2e-20, and every feature would move."""
+    phi = real_fft(lowpass, norm="forward").real
     n_fft = phi.shape[0]
     taps = phi[(np.arange(n_fft // hop)[:, None] * hop - np.arange(hop)) % n_fft]
     peak = np.max(np.abs(taps), axis=1)  # every sample of phi is one tap

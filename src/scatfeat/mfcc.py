@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import fft as sfft
 
 from .audio_io import SAMPLE_RATE_HZ, Waveform
 from .config import RunConfig
@@ -60,6 +59,8 @@ def mfcc_frames(w: Waveform) -> np.ndarray:
     x = w.samples
     if x.size < win:
         raise SignalTooShortError(f"signal of {x.size} samples < window {win}")
+    from scipy import fft as sfft  # numpy has no DCT; only MFCC loads scipy.fft
+
     n_frames = 1 + (x.size - win) // hop
     idx = hop * np.arange(n_frames)[:, None] + np.arange(win)[None, :]
     frames = x[idx] * np.hamming(win)

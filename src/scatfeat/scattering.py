@@ -22,7 +22,10 @@ input by the filter's response and inverts only the filter's band: a band
 of m = next_pow2(W) bins (W the width of the response's non-zero support)
 takes n_fft / m inverse FFTs of length m, a decimation-in-time split of the
 full-length inverse (see _modulus); each bank holds its filters' gains over
-their supports alone (filterbank).
+their supports alone (filterbank). Every forward FFT is of real input and
+is filterbank.real_fft, numpy's real FFT mirrored as scipy.fft mirrors it,
+so the frames keep scipy.fft's bits; numpy's complex FFT of real input
+rounds differently.
 Each low-pass is one small matrix product, with no full-length FFT: each
 bank holds phi sampled every hop as taps over the frame offsets where it is
 above rounding, built once with the bank, and a shift-and-add of the
@@ -63,14 +66,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .audio_io import (SAMPLE_RATE_HZ, Waveform, fix_length, next_pow2,
                        pad_or_crop_center)
 from .config import RunConfig
 from .errors import (AxisTooShortError, InvalidSpecError, LengthMismatchError,
                      SampleRateError)
-from .filterbank import BandpassFilter, FilterBank, cached_bank, circular_window
+from .filterbank import (BandpassFilter, FilterBank, cached_bank, circular_window,
+                         real_fft)
 
 
 @lru_cache(maxsize=32)
@@ -99,7 +102,8 @@ def _modulus(spectrum: np.ndarray, f: BandpassFilter, out: np.ndarray) -> np.nda
     n_fft, m = spectrum.shape[0], next_pow2(f.width)
     band = np.zeros(m, dtype=complex)
     np.multiply(circular_window(spectrum, f.start, f.width), f.band, out=band[:f.width])
-    z = sfft.ifft(_twiddles(n_fft, m) * band, axis=1, overwrite_x=True)
+    z = _twiddles(n_fft, m) * band
+    np.fft.ifft(z, axis=1, out=z)
     np.abs(z.T, out=out.reshape(m, n_fft // m))
     return out
 
@@ -120,7 +124,7 @@ def wavelet_modulus(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     if x.ndim != 1 or x.shape[0] != bank.spec.n_fft:
         raise LengthMismatchError(
             f"signal length {x.shape} does not match bank n_fft={bank.spec.n_fft}")
-    return _moduli(sfft.fft(x), bank.filters)
+    return _moduli(real_fft(x), bank.filters)
 
 
 def lowpass_average(u: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -199,14 +203,14 @@ def time_scattering(w: Waveform, cfg: RunConfig, max_order: int = 2) -> np.ndarr
     bank1 = cached_bank(cfg.q1, cfg.t, cfg.n_fft)
     bank2 = cached_bank(cfg.q2, cfg.t, cfg.n_fft)
 
-    spectrum = sfft.fft(x)
+    spectrum = real_fft(x)
     rows, order2 = [lowpass_average(x, bank1)], []
     u = np.empty(cfg.n_fft)  # |x * psi_l1|, one l1 at a time
     for f1 in bank1.filters:
         rows.append(lowpass_average(_modulus(spectrum, f1, u), bank1))
         first = _first_admissible(f1, bank2)
         if max_order == 2 and first < len(bank2.filters):
-            u2 = _moduli(sfft.fft(u), bank2.filters[first:])
+            u2 = _moduli(real_fft(u), bank2.filters[first:])
             order2.append(lowpass_average(u2, bank1))
     return np.concatenate([np.stack(rows)] + order2)
 
@@ -253,8 +257,8 @@ def frequency_scattering(frames: np.ndarray, cfg: RunConfig) -> np.ndarray:
     pad_left = (n_fft_fr - n_bins) // 2
     padded = np.pad(axis.T, ((0, 0), (pad_left, n_fft_fr - n_bins - pad_left)),
                     mode="edge")
-    spectra = sfft.fft(padded, axis=1)
-    moduli = np.abs(sfft.ifft(spectra[None, :, :] * bank_fr.responses[:, None, :],
-                              axis=2))  # (wavelets, frames, n_fft_fr)
+    spectra = real_fft(padded)
+    moduli = np.abs(np.fft.ifft(spectra[None, :, :] * bank_fr.responses[:, None, :],
+                                axis=2))  # (wavelets, frames, n_fft_fr)
     moduli = moduli[:, :, pad_left:pad_left + n_bins].transpose(0, 2, 1)
     return np.concatenate([frames, moduli.reshape(-1, frames.shape[1])])

@@ -195,16 +195,31 @@ class TestResample:
         assert outs[0].samples.tobytes() == outs[1].samples.tobytes()
 
     def test_scipy_signal_imported_only_to_resample(self):
-        """scipy.signal is most of the package's import time, and only a
-        rate other than 16 kHz needs it."""
-        out = run_python("import sys, scatfeat\n"
-                         "print('scipy.signal' in sys.modules)\n"
-                         "w = scatfeat.Waveform([0.0, 1.0, 0.0, -1.0], 8000)\n"
-                         "scatfeat.resample(w, 8000)\n"
-                         "print('scipy.signal' in sys.modules)\n"
-                         "scatfeat.resample(w, 16000)\n"
-                         "print('scipy.signal' in sys.modules)\n")
-        assert out.split() == ["False", "False", "True"]
+        """No scipy module loads to scatter 16 kHz input: the transforms
+        use numpy.fft. scipy.fft loads for MFCC alone (its DCT), and
+        scipy.signal only for a rate other than 16 kHz."""
+        out = run_python(
+            "import sys, numpy as np, scatfeat\n"
+            "from scatfeat.config import RunConfig\n"
+            "from scatfeat.features import extract_vector\n"
+            "from scatfeat.scattering import frequency_scattering, time_scattering\n"
+            "def show(): print(sorted({m.split('.')[1] for m in sys.modules\n"
+            "                          if m.startswith('scipy.')} & {'fft', 'signal'}),\n"
+            "                  'scipy' in sys.modules)\n"
+            "cfg = RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8)\n"
+            "w = scatfeat.Waveform(np.sin(np.arange(4096.0)), 16000)\n"
+            "frequency_scattering(time_scattering(w, cfg), cfg)\n"
+            "extract_vector('scatnet', scatfeat.Waveform(np.ones(8000), 16000), RunConfig())\n"
+            "show()\n"
+            "extract_vector('mfcc', w, cfg)\n"
+            "show()\n"
+            "w = scatfeat.Waveform([0.0, 1.0, 0.0, -1.0], 8000)\n"
+            "scatfeat.resample(w, 8000)\n"
+            "show()\n"
+            "scatfeat.resample(w, 16000)\n"
+            "show()\n")
+        assert out.splitlines() == ["[] False", "['fft'] True", "['fft'] True",
+                                    "['fft', 'signal'] True"]
 
 
 class TestFixLength:

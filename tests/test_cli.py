@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scatfeat.features
-from scatfeat.cli import main
+from scatfeat.cli import build_parser, main
 from scatfeat.synthetic import write_am_dataset
 
 SMALL_CFG = ("feature_kind=scatnet\nq1=3\nq2=1\nt=1024\nn=4096\n"
@@ -342,6 +342,16 @@ class TestEmptyIntList:
         assert exc.value.code == 1
         assert "needs at least one integer" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("flag, q, t, bad", [("--q", "1,,3", "1024", "1,,3"),
+                                                 ("--t", "3", "1024,", "1024,")])
+    def test_empty_item_is_a_usage_error(self, capsys, flag, q, t, bad):
+        """An empty item is not skipped: 1,,3 is not read as 1,3."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--manifest", "m", "--q", q,
+                                       "--t", t, "--report-dir", "o"])
+        assert exc.value.code == 1
+        assert f"argument {flag}: empty item in {bad!r}" in capsys.readouterr().err
 
 
 class TestMalformedJsonConfig:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from scatfeat import filterbank
 from scatfeat.config import RunConfig
@@ -11,7 +12,8 @@ from scatfeat.filterbank import (FilterBank, FilterBankSpec, _PERIODIZATION_EPS,
                                  _periodized_gaussian, bank_to_csv_rows,
                                  build_morlet_bank, gaussian_lowpass,
                                  littlewood_paley_bounds, littlewood_paley_sum,
-                                 max_center_freq)
+                                 lowpass_taps, max_center_freq, real_fft)
+from scatfeat.scattering import frequency_bank
 
 
 def geo_centers(bank):
@@ -193,6 +195,35 @@ class TestStorage:
         bank = build_morlet_bank(FilterBankSpec(1, 64, 256))
         assert not bank.responses.flags.writeable
         assert not bank.filters[0].response.flags.writeable
+
+
+class TestScipyBits:
+    """numpy.fft, called as the package calls it, returns scipy.fft's bits,
+    which the package used before and the tests keep as the oracle."""
+
+    @pytest.mark.parametrize("shape", [(64,), (65536,), (5, 1024)])
+    def test_real_fft_is_scipy_fft(self, rng, shape):
+        x = rng.standard_normal(shape)
+        assert real_fft(x).tobytes() == sfft.fft(x).tobytes()
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda cfg: filterbank.cached_bank(cfg.q1, cfg.t, cfg.n_fft),
+        lambda cfg: filterbank.cached_bank(cfg.q2, cfg.t, cfg.n_fft),
+        frequency_bank,
+        lambda cfg: build_morlet_bank(FilterBankSpec(3, 1024, 4096)),
+    ], ids=["bank1", "bank2", "frequency", "small"])
+    def test_lowpass_taps_are_scipys(self, make_bank):
+        """The taps and offsets equal those of phi = real(scipy ifft)."""
+        bank = make_bank(RunConfig())
+        phi = np.real(sfft.ifft(bank.lowpass))
+        n_fft, hop = phi.shape[0], bank.spec.hop
+        taps = phi[(np.arange(n_fft // hop)[:, None] * hop - np.arange(hop)) % n_fft]
+        peak = np.max(np.abs(taps), axis=1)
+        offsets = np.argsort(peak, kind="stable")
+        offsets = offsets[peak[offsets] > 4 * np.finfo(np.float64).eps * peak.max()]
+        got_taps, got_offsets = lowpass_taps(bank.lowpass, hop)
+        assert got_offsets.tobytes() == offsets.tobytes()
+        assert got_taps.tobytes() == taps[offsets].tobytes()
 
 
 class TestCsvDump:
