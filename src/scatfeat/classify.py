@@ -413,18 +413,6 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
     return best
 
 
-def kkt_residual(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray,
-                 c: float) -> float:
-    """Recompute the maximal KKT violation from a full dual solution."""
-    y = np.asarray(y, dtype=np.float64)
-    v = y - kernel @ (alpha * y)
-    pos = y > 0
-    up = np.where(pos, alpha < c, alpha > 0.0)
-    low = np.where(pos, alpha > 0.0, alpha < c)
-    return float(np.max(np.where(up, v, -np.inf)) -
-                 np.min(np.where(low, v, np.inf)))
-
-
 def model_to_json(model: SvmModel) -> str:
     """Serialize as a single JSON document with round-trip float precision."""
     doc = {key: getattr(model, key).tolist() for key in
@@ -436,7 +424,8 @@ def model_to_json(model: SvmModel) -> str:
 
 
 def _doc_array(doc: dict, key: str, *shape: int) -> np.ndarray:
-    """doc[key] as a float64 array of `shape`, where -1 matches any length."""
+    """doc[key] as a finite float64 array of `shape`, where -1 matches any
+    length."""
     try:
         arr = np.array(doc[key], dtype=np.float64)
         arr = arr.reshape(shape) if arr.size == 0 else arr  # JSON writes empty as []
@@ -444,26 +433,36 @@ def _doc_array(doc: dict, key: str, *shape: int) -> np.ndarray:
         raise ScatFeatError(f"model {key!r}: {exc}") from None
     if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
         raise ScatFeatError(f"model {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ScatFeatError(f"model {key!r} holds a non-finite value")
     return arr
 
 
 def model_from_json(text: str) -> SvmModel:
-    """Inverse of model_to_json. A missing key, a value of the wrong type,
-    or an array whose shape disagrees with the classes or the standardizer,
-    is a ScatFeatError."""
+    """Inverse of model_to_json. A missing key, a value of the wrong type, a
+    value svm_train could not have written, or an array whose shape
+    disagrees with the classes or the standardizer, is a ScatFeatError.
+    svm_train writes finite arrays, a std of at least _STD_FLOOR, C and
+    gamma that pass svm_axis, and at least two distinct classes in
+    ascending order (see _pair_table)."""
     try:
         doc = json.loads(text)
-        classes = tuple(doc["classes"])
+        classes = doc["classes"]
+        if len(classes) < 2 or classes != sorted(set(classes)):  # "ab" != ["a", "b"]
+            raise ScatFeatError(f"model 'classes' must be two or more distinct "
+                                f"classes in ascending order, got {classes!r}")
         n_pairs = len(_class_pairs(len(classes)))
         mean = _doc_array(doc["standardizer"], "mean", -1)
         std = _doc_array(doc["standardizer"], "std", len(mean))
+        if (std < _STD_FLOOR).any():  # standardize_fit floors it there
+            raise ScatFeatError(f"model 'std' holds a value below {_STD_FLOOR}")
         support_vectors = _doc_array(doc, "support_vectors", -1, len(mean))
         coef = _doc_array(doc, "coef", len(support_vectors), n_pairs)
         bias, residual, converged = (_doc_array(doc, key, n_pairs) for key in
                                      ("bias", "kkt_residual", "converged"))
-        return SvmModel(classes, support_vectors, coef, bias, residual,
-                        converged.astype(bool), float(doc["gamma"]),
-                        float(doc["c"]), Standardizer(mean, std))
+        return SvmModel(tuple(classes), support_vectors, coef, bias, residual,
+                        converged.astype(bool), svm_axis("gamma", [doc["gamma"]])[0],
+                        svm_axis("C", [doc["c"]])[0], Standardizer(mean, std))
     except KeyError as exc:
         raise ScatFeatError(f"model document lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

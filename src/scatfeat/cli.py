@@ -63,8 +63,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract features into a SCATFEAT v1 file")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--feature", choices=FEATURE_KINDS, default=None,
-                   help="feature kind (default: config feature_kind)")
+    p.add_argument("--feature", choices=FEATURE_KINDS, default="scatnet",
+                   help="feature kind (default: scatnet)")
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=_worker_count, default=None,
@@ -104,19 +104,20 @@ def build_parser() -> _Parser:
 
 def _cmd_extract(args) -> int:
     cfg = _load_run_config(args.config)
-    kind = args.feature or cfg.feature_kind
+    if not Path(args.out).parent.is_dir():  # checked before any WAV is read
+        raise ScatFeatError(f"{args.out}: its directory does not exist")
     manifest = load_manifest(args.manifest)
     for warning in manifest_warnings(manifest):
         print(f"warning: {warning}", file=sys.stderr)
-    rows, errors = extract_many(manifest, kind, cfg, n_workers=args.threads)
-    config_hash = feature_config_hash(cfg, kind)
+    rows, errors = extract_many(manifest, args.feature, cfg, n_workers=args.threads)
+    config_hash = feature_config_hash(cfg, args.feature)
     if rows:
-        write_feature_file(args.out, kind, rows, config_hash)
+        write_feature_file(args.out, args.feature, rows, config_hash)
     if errors:
         for uid, msg in errors:
             print(f"error: {uid}: {msg}", file=sys.stderr)
         return DATA_ERROR
-    print(f"wrote {args.out} (kind={kind}, config_hash={config_hash})")
+    print(f"wrote {args.out} (kind={args.feature}, config_hash={config_hash})")
     return 0
 
 

@@ -1,22 +1,24 @@
 """Run configuration: the one parameter set, its file round-trip and feature
 config hashing.
 
-RunConfig has eight settable fields. The values the protocol fixes are class
+RunConfig has six settable fields. The values the protocol fixes are class
 constants, read as cfg.<name> like fields: the 16 kHz working rate, one
 wavelet per octave in the second scattering layer (q2, as in Anden & Mallat,
-"Deep Scattering Spectrum", IEEE TSP 2014) and the standard MFCC baseline's
-window, hop, DFT length, mel bands, band edges and coefficient count. A
-config is checked once, when it is made (RunConfig.__post_init__), so every
-RunConfig in existence is valid, whether it came from the constructor,
-dataclasses.replace or load_config. Filter-bank limits on q1 and t are
-FilterBankSpec's to check, when a scattering kind builds its banks.
+"Deep Scattering Spectrum", IEEE TSP 2014), the offset of the log taken
+before pooling (log_eps) and the standard MFCC baseline's window, hop, DFT
+length, mel bands, band edges and coefficient count. The feature kind is
+not part of a config: every function that extracts or hashes features
+takes it from its caller. A config is checked once, when it is made
+(RunConfig.__post_init__), so every RunConfig in existence is valid,
+whether it came from the constructor, dataclasses.replace or load_config.
+Filter-bank limits on q1 and t are FilterBankSpec's to check, when a
+scattering kind builds its banks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .audio_io import SAMPLE_RATE_HZ, next_pow2
@@ -42,18 +44,18 @@ class RunConfig:
     Fields: q1 is the first scattering bank's wavelets per octave, t the
     averaging scale in samples, n the fixed signal length, f_wavelet_len
     the averaging-scale analogue (in log-frequency bins) of the bank used
-    for frequency scattering, and log_eps the offset of the log taken
-    before pooling (see features.extract_vector). SVM grid entries are
-    lists; gamma scales are divided by the feature dimension at evaluation
-    time.
+    for frequency scattering. SVM grid entries are lists; gamma scales are
+    divided by the feature dimension at evaluation time.
 
     The class constants below are not fields: they are fixed, and configs
-    that state them load only at these values. The MFCC ones are in
-    milliseconds and Hz at SAMPLE_RATE_HZ.
+    that state them load only at these values. log_eps is the offset of
+    the log taken before pooling (see features.extract_vector). The MFCC
+    ones are in milliseconds and Hz at SAMPLE_RATE_HZ.
     """
 
     sample_rate_hz = SAMPLE_RATE_HZ  # input is resampled to it
     q2 = 1
+    log_eps = 1e-7
     n_coeffs = 13
     win_ms = 20.0
     hop_ms = 10.0
@@ -64,22 +66,16 @@ class RunConfig:
     win_samples = int(round(win_ms * SAMPLE_RATE_HZ / 1000.0))
     hop_samples = int(round(hop_ms * SAMPLE_RATE_HZ / 1000.0))
 
-    feature_kind: str = "scatnet"
     q1: int = 5
     t: int = 16384
     n: int = 51000
     f_wavelet_len: int = 32
-    log_eps: float = 1e-7
     svm_c: tuple = (0.1, 1.0, 10.0, 100.0)
     svm_gamma_scale: tuple = (0.1, 1.0, 10.0)
 
     def __post_init__(self):
-        if self.feature_kind not in FEATURE_KINDS:
-            raise ScatFeatError(f"unknown feature kind {self.feature_kind!r}")
         if self.n < 1:
             raise InvalidSpecError(f"n must be positive, got {self.n}")
-        if not 0.0 < self.log_eps < math.inf:
-            raise InvalidSpecError(f"log_eps must be a finite number > 0, got {self.log_eps}")
         svm_axis("C", self.svm_c)
         svm_axis("gamma scale", self.svm_gamma_scale)
 
@@ -91,9 +87,10 @@ class RunConfig:
 # Keys that once were settable and can take only these values now. Configs
 # that carry them still load, and hashes still include them, so every
 # feature file keeps its hash.
-_RETIRED = {"log_compress": True, **{name: getattr(RunConfig, name) for name in (
-    "sample_rate_hz", "q2", "n_coeffs", "win_ms", "hop_ms", "mfcc_n_fft", "n_mels",
-    "fmin_hz", "fmax_hz")}}
+_RETIRED = {"log_compress": True, "feature_kind": "scatnet", **{
+    name: getattr(RunConfig, name) for name in (
+        "sample_rate_hz", "q2", "log_eps", "n_coeffs", "win_ms", "hop_ms",
+        "mfcc_n_fft", "n_mels", "fmin_hz", "fmax_hz")}}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -170,8 +167,6 @@ def config_to_text(cfg: RunConfig) -> str:
     for key, val in sorted(asdict(cfg).items()):
         if isinstance(val, tuple):
             val = ",".join(f"{v:.17g}" for v in val)
-        elif isinstance(val, float):
-            val = f"{val:.17g}"
         lines.append(f"{key}={val}")
     return "\n".join(lines) + "\n"
 

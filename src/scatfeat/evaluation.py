@@ -32,7 +32,9 @@ class ManifestRow:
 
 
 def load_manifest(path) -> list[ManifestRow]:
-    """Read a manifest CSV with header utterance_id,path,speaker_id,label."""
+    """Read a manifest CSV with header utterance_id,path,speaker_id,label.
+    A field that is empty or only whitespace is an error naming its line and
+    field: an empty speaker_id would become a LOSO fold of its own."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -45,6 +47,9 @@ def load_manifest(path) -> list[ManifestRow]:
             if len(r) != 4:
                 raise ScatFeatError(
                     f"{path}:{reader.line_num}: expected 4 fields, got {len(r)}")
+            for name, value in zip(header, r):
+                if not value.strip():
+                    raise ScatFeatError(f"{path}:{reader.line_num}: empty {name}")
             rows.append(ManifestRow(*r))
     if not rows:
         raise ScatFeatError(f"{path}: manifest has no rows")

@@ -110,9 +110,12 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
     """Write `#SCATFEAT v1 kind=<kind> dim=<d> config_hash=<hex>` plus one
     CSV row per utterance, floats at 17 significant digits, sorted by id.
     Ids and labels holding a comma or a quote are CSV-quoted. kind must be
-    one of FEATURE_KINDS, and no utterance_id may appear twice."""
+    one of FEATURE_KINDS, config_hash may hold no whitespace (the header
+    is split on it), and no utterance_id may appear twice."""
     if kind not in FEATURE_KINDS:
         raise ScatFeatError(f"unknown feature kind {kind!r}")
+    if any(c.isspace() for c in config_hash):
+        raise ScatFeatError(f"config_hash {config_hash!r} holds whitespace")
     rows = sorted(rows, key=lambda r: r.utterance_id)
     if not rows:
         raise ScatFeatError("no feature rows to write")
@@ -135,8 +138,9 @@ def write_feature_file(path, kind: str, rows: list[FeatureRow],
 
 def read_feature_file(path):
     """Parse a SCATFEAT v1 file; returns (kind, config_hash, rows). A kind
-    outside FEATURE_KINDS is rejected, and so is an utterance_id that
-    appears twice (the error names the line of the second)."""
+    outside FEATURE_KINDS is rejected, and so are a header key that
+    appears twice and an utterance_id that appears twice (the error names
+    the line of the second)."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"#{FORMAT_TAG} "):
@@ -146,6 +150,8 @@ def read_feature_file(path):
             kind, dim, config_hash = meta["kind"], int(meta["dim"]), meta["config_hash"]
         except (KeyError, ValueError):
             raise ScatFeatError(f"{path}: malformed header {header!r}") from None
+        if len(meta) + 2 < len(header.split()):  # dict() keeps the last of a key
+            raise ScatFeatError(f"{path}:1: repeated key in header {header!r}")
         if kind not in FEATURE_KINDS:
             raise ScatFeatError(f"{path}:1: unknown feature kind {kind!r}")
         if dim < 1:

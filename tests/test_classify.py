@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 import scatfeat.classify
 from scatfeat.classify import (Standardizer, SvmModel,
-                               grid_search, kkt_residual, model_from_json,
+                               grid_search, model_from_json,
                                model_to_json, rbf_kernel, smo_solve,
                                standardize_apply, standardize_fit,
                                svm_decision_values, svm_predict, svm_train)
@@ -18,6 +18,8 @@ from scatfeat.errors import (DegenerateClassError, DimensionMismatchError,
                              InvalidSvmParamError, NonFiniteFeatureError,
                              ScatFeatError, TooFewRowsError)
 from scatfeat.evaluation import confusion, uar
+
+from testkit import kkt_residual
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -775,4 +777,31 @@ class TestModelFromJsonRejects:
         doc = self.doc(rng)
         edit(doc)
         with pytest.raises(ScatFeatError, match=key):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("match, edit", [
+        ("SVM gamma", lambda d: d.update(gamma=-1.0)),
+        ("SVM gamma", lambda d: d.update(gamma=0.0)),
+        ("SVM C", lambda d: d.update(c="nan")),
+        ("SVM C", lambda d: d.update(c=float("inf"))),
+        ("classes", lambda d: d.update(classes=["b", "a", "c"])),  # flips votes
+        ("classes", lambda d: d.update(classes=["a", "a", "c"])),
+        ("classes", lambda d: d.update(classes="abc")),
+        ("classes", lambda d: d.update(classes=["a"])),
+        ("classes", lambda d: d.update(classes=[])),
+        ("bias", lambda d: d["bias"].__setitem__(0, float("nan"))),
+        ("coef", lambda d: d["coef"][0].__setitem__(0, float("inf"))),
+        ("support_vectors", lambda d: d["support_vectors"][0].__setitem__(
+            0, float("-inf"))),
+        ("mean", lambda d: d["standardizer"]["mean"].__setitem__(0, float("nan"))),
+        ("std", lambda d: d["standardizer"]["std"].__setitem__(0, 0.0)),
+        ("std", lambda d: d["standardizer"]["std"].__setitem__(1, -1.0)),
+        ("kkt_residual", lambda d: d["kkt_residual"].__setitem__(0, float("nan"))),
+    ])
+    def test_value_svm_train_cannot_write(self, rng, match, edit):
+        """svm_train writes finite arrays, a floored std, C and gamma that
+        pass svm_axis, and two or more distinct classes in ascending order."""
+        doc = self.doc(rng)
+        edit(doc)
+        with pytest.raises(ScatFeatError, match=match):
             model_from_json(json.dumps(doc))

@@ -5,6 +5,7 @@ import pytest
 
 import scatfeat.features
 from scatfeat.cli import build_parser, main
+from scatfeat.config import load_config
 from scatfeat.synthetic import write_am_dataset
 
 SMALL_CFG = ("feature_kind=scatnet\nq1=3\nq2=1\nt=1024\nn=4096\n"
@@ -48,15 +49,27 @@ class TestExtract:
                          "--out", str(out), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("line", ["log_compress=false", "sample_rate_hz=22050"])
+    @pytest.mark.parametrize("line", ["log_compress=false", "sample_rate_hz=22050",
+                                      "feature_kind=mfcc", "log_eps=1e-6"])
     def test_retired_config_value_exits_2(self, mini_corpus, tmp_path, capsys, line):
+        key = line.split("=")[0]
+        kept = [ln for ln in SMALL_CFG.splitlines() if not ln.startswith(key + "=")]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL_CFG + line + "\n")
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         out = tmp_path / "feat.csv"
         assert main(["extract", "--manifest", str(mini_corpus), "--config", str(cfg),
                      "--out", str(out)]) == 2
-        assert f"config key '{line.split('=')[0]}'" in capsys.readouterr().err
+        assert f"config key '{key}': only" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_out_directory_exits_2_before_extracting(
+            self, mini_corpus, cfg_file, tmp_path, capsys, monkeypatch):
+        calls = counting(monkeypatch, "extract_vector")
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["extract", "--manifest", str(mini_corpus), "--config",
+                     str(cfg_file), "--out", str(out), "--threads", "1"]) == 2
+        assert error_lines(capsys) == [f"error: {out}: its directory does not exist"]
+        assert calls == [] and not out.parent.exists()
 
     def test_threads_default_ignores_environment(self, mini_corpus, cfg_file,
                                                  tmp_path, monkeypatch):
@@ -84,6 +97,14 @@ def feature_file(mini_corpus, cfg_file, tmp_path_factory):
                  "--feature", "scatnet", "--config", str(cfg_file),
                  "--out", str(out)]) == 0
     return out
+
+
+def test_extract_defaults_to_scatnet(mini_corpus, cfg_file, feature_file, tmp_path):
+    out = tmp_path / "default.csv"
+    assert main(["extract", "--manifest", str(mini_corpus), "--config", str(cfg_file),
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("#SCATFEAT v1 kind=scatnet ")
+    assert out.read_bytes() == feature_file.read_bytes()
 
 
 class TestEvaluate:
@@ -379,6 +400,10 @@ class TestSweep:
         for line in lines[1:]:
             q, t, acc, uar_ = line.split(",")
             assert float(acc) == float(acc) and float(uar_) == float(uar_)
+        saved = report_dir / "sweep_config.txt"
+        assert "feature_kind" not in saved.read_text()
+        assert "log_eps" not in saved.read_text()
+        assert load_config(saved) == load_config(cfg_file)
 
     def test_bad_t_rejected(self, mini_corpus, cfg_file, tmp_path):
         code = main(["sweep", "--manifest", str(mini_corpus),

@@ -135,6 +135,15 @@ class TestManifest:
         with pytest.raises(ScatFeatError, match="no rows"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("row, field", [
+        ("u2,b.wav,,x", "speaker_id"), (",b.wav,s2,x", "utterance_id"),
+        ("u2,b.wav,s2,", "label"), ("u2,,s2,x", "path"), ("u2,b.wav, ,x", "speaker_id")])
+    def test_empty_field_rejected(self, tmp_path, row, field):
+        path = tmp_path / "m.csv"
+        path.write_text(f"utterance_id,path,speaker_id,label\nu1,a.wav,s1,x\n{row}\n")
+        with pytest.raises(ScatFeatError, match=rf"m\.csv:3: empty {field}$"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("row", ["u2,b.wav,s2", "u2,b.wav,s2,x,extra"])
     def test_wrong_field_count_rejected(self, tmp_path, row):
         path = tmp_path / "m.csv"

@@ -52,14 +52,22 @@ DEFAULT_HASHES = {"scatnet": "5f7a6014855e", "scat-layer1": "a2f95372f372",
 
 # One invalid value each, as constructor keywords and as config text. A
 # RunConfig checks them when it is made, so none of them can exist.
+# feature_kind and log_eps are retired keys, not fields: config text states
+# them at their one value or fails naming the key, and the constructor and
+# dataclasses.replace take no such keyword (TypeError).
 BAD_CONFIGS = [
     ({"n": 0}, "n=0\n", "n must be positive"),
     ({"log_eps": 0.0}, "log_eps=0\n", "log_eps"),
     ({"log_eps": float("nan")}, "log_eps=nan\n", "log_eps"),
     ({"log_eps": float("inf")}, "log_eps=inf\n", "log_eps"),
-    ({"feature_kind": "bogus"}, "feature_kind=bogus\n", "unknown feature kind"),
+    ({"feature_kind": "bogus"}, "feature_kind=bogus\n", "feature_kind"),
     ({"svm_c": (0.0,)}, "svm_c=0\n", "SVM C"),
 ]
+
+
+def keyword_error(values):
+    """What RunConfig(**values) raises: TypeError for a retired key."""
+    return TypeError if {"feature_kind", "log_eps"} & set(values) else ScatFeatError
 
 
 def load_reference():
@@ -74,7 +82,7 @@ def load_reference():
 
 class TestConfig:
     def test_roundtrip_via_text(self):
-        cfg = RunConfig(feature_kind="mfcc", q1=8, t=4096, svm_c=(0.5, 2.0))
+        cfg = RunConfig(q1=8, t=4096, svm_c=(0.5, 2.0))
         back = config_from_text(config_to_text(cfg))
         assert back == cfg
 
@@ -101,20 +109,25 @@ class TestConfig:
         ("n_coeffs=20\n", "n_coeffs"),
         ("q2=2\n", "q2"),
         ('{"win_ms": 25}', "win_ms"),
+        ("feature_kind=mfcc\n", "feature_kind"),
+        ('{"feature_kind": "f-scatnet"}', "feature_kind"),
+        ("log_eps=1e-6\n", "log_eps"),
+        ('{"log_eps": Infinity}', "log_eps"),
     ])
     def test_retired_keys_reject_other_values(self, text, key):
-        with pytest.raises(ScatFeatError, match=key):
+        with pytest.raises(ScatFeatError, match=f"config key '{key}': only"):
             config_from_text(text)
 
     @pytest.mark.parametrize("text", ["win_ms=20.0\nfmin_hz=0.0\nn_mels=26\n",
-                                      '{"fmax_hz": 8000, "hop_ms": 10.0, "q2": 1}'])
+                                      '{"fmax_hz": 8000, "hop_ms": 10.0, "q2": 1}',
+                                      "log_eps=1e-7\n", '{"log_eps": 1e-07}'])
     def test_retired_keys_compare_as_numbers(self, text):
         assert config_from_text(text) == RunConfig()
 
-    def test_eight_settable_fields(self):
+    def test_six_settable_fields(self):
         assert [f.name for f in fields(RunConfig)] == [
-            "feature_kind", "q1", "t", "n", "f_wavelet_len", "log_eps", "svm_c",
-            "svm_gamma_scale"]
+            "q1", "t", "n", "f_wavelet_len", "svm_c", "svm_gamma_scale"]
+        assert RunConfig.log_eps == SMALL.log_eps == 1e-7
         assert not hasattr(RunConfig, "validate") and not hasattr(RunConfig, "hop")
         assert (RunConfig.win_samples, RunConfig.hop_samples) == (320, 160)
 
@@ -161,12 +174,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
     def test_constructor_rejects(self, values, text, match):
-        with pytest.raises(ScatFeatError, match=match):
+        with pytest.raises(keyword_error(values), match=match):
             RunConfig(**values)
 
     @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
     def test_replace_rejects(self, values, text, match):
-        with pytest.raises(ScatFeatError, match=match):
+        with pytest.raises(keyword_error(values), match=match):
             replace(SMALL, **values)
 
     @pytest.mark.parametrize("values, text, match", BAD_CONFIGS)
@@ -198,7 +211,6 @@ class TestConfig:
         assert a != feature_config_hash(SMALL, "mfcc")
         assert a != feature_config_hash(RunConfig(q1=4, t=1024, n=4096,
                                                   f_wavelet_len=8), "scatnet")
-        assert a != feature_config_hash(replace(SMALL, log_eps=1e-6), "scatnet")
 
     def test_hash_ignores_svm_grid(self):
         other = RunConfig(q1=3, t=1024, n=4096, f_wavelet_len=8,
@@ -289,6 +301,22 @@ class TestFeatureFile:
         with pytest.raises(ScatFeatError, match="u1: duplicate utterance_id"):
             write_feature_file(path, "mfcc", rows, "abc123")
         assert not path.exists()
+
+    @pytest.mark.parametrize("config_hash", ["ab cd", "ab\tcd", "abc\n"])
+    def test_config_hash_with_whitespace_writes_nothing(self, tmp_path, rng,
+                                                         config_hash):
+        path = tmp_path / "f.csv"
+        with pytest.raises(ScatFeatError, match="holds whitespace"):
+            write_feature_file(path, "mfcc", self.rows(rng), config_hash)
+        assert not path.exists()
+
+    def test_repeated_header_key_rejected(self, tmp_path):
+        """The last dim does not silently win."""
+        path = tmp_path / "bad.csv"
+        path.write_text("#SCATFEAT v1 kind=mfcc dim=2 dim=3 config_hash=x\n"
+                        "u0,s0,lab,1.0,2.0,3.0\n")
+        with pytest.raises(ScatFeatError, match=r"bad\.csv:1: repeated key in header"):
+            read_feature_file(path)
 
     def test_duplicate_id_rejected_on_read(self, tmp_path):
         path = tmp_path / "dup.csv"

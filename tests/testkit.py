@@ -1,5 +1,5 @@
-"""Shared test helpers: small deterministic signals, WAV writers and a naive
-MFCC reference. Imported by name, so the module name is unique across
+"""Shared test helpers: small deterministic signals, WAV writers, a naive
+MFCC reference and an SVM dual's KKT residual. Imported by name, so the module name is unique across
 every test directory; fixtures stay in conftest.py."""
 
 import os
@@ -51,6 +51,18 @@ def bandlimited_noise(rng, n, f_lo_hz=50.0, f_hi_hz=7000.0, fs=FS, peak=0.5):
     spec[k1:k2] = rng.standard_normal(k2 - k1) + 1j * rng.standard_normal(k2 - k1)
     x = np.fft.irfft(spec, n)
     return peak * x / np.max(np.abs(x))
+
+
+def kkt_residual(kernel, y, alpha, c) -> float:
+    """Recompute the maximal KKT violation of a full SVM dual solution:
+    max over I_up of v minus min over I_low of v, v = y - K (alpha * y)."""
+    y = np.asarray(y, dtype=np.float64)
+    v = y - kernel @ (alpha * y)
+    pos = y > 0
+    up = np.where(pos, alpha < c, alpha > 0.0)
+    low = np.where(pos, alpha > 0.0, alpha < c)
+    return float(np.max(np.where(up, v, -np.inf)) -
+                 np.min(np.where(low, v, np.inf)))
 
 
 def reference_mfcc(x):
