@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
                    help="feature kind (default: scatnet)")
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_worker_count, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads, at least 1 (default: the CPUs this "
                         "process may run on)")
 
@@ -92,20 +92,26 @@ def build_parser() -> _Parser:
                    help="e.g. 4096,8192,16384,32768")
     p.add_argument("--config", default=None)
     p.add_argument("--report-dir", required=True)
-    p.add_argument("--threads", type=_worker_count, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None)
 
     p = sub.add_parser("inspect-filters", help="dump a Morlet bank as CSV")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="signal length in samples")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="signal length in samples, at least 1")
     p.add_argument("--out", required=True)
     return parser
 
 
+def _check_out_dir(out: str) -> None:
+    """Fail on an output path whose directory is missing before any work."""
+    if not Path(out).parent.is_dir():
+        raise ScatFeatError(f"{out}: its directory does not exist")
+
+
 def _cmd_extract(args) -> int:
+    _check_out_dir(args.out)
     cfg = _load_run_config(args.config)
-    if not Path(args.out).parent.is_dir():  # checked before any WAV is read
-        raise ScatFeatError(f"{args.out}: its directory does not exist")
     manifest = load_manifest(args.manifest)
     for warning in manifest_warnings(manifest):
         print(f"warning: {warning}", file=sys.stderr)
@@ -122,6 +128,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dir(args.out)
     kind, config_hash, rows = read_feature_file(args.features)
     x = np.stack([r.vector for r in rows])
     y = np.array([r.label for r in rows])
@@ -192,6 +199,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect_filters(args) -> int:
+    _check_out_dir(args.out)
     bank = build_morlet_bank(FilterBankSpec(args.q, args.t, next_pow2(args.n)))
     rows = bank_to_csv_rows(bank)
     Path(args.out).write_text("\n".join(rows) + "\n")

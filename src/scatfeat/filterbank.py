@@ -24,8 +24,10 @@ modulus zero-pads them to the m = next_pow2(width) bins it inverts
 default pair of banks holds 7 MB of bands in place of 36 MB of dense
 (n_filters, n_fft) responses. BandpassFilter.response and
 FilterBank.responses build the dense gains when read; nothing keeps them.
-The build makes one response at a time over all n_fft bins and keeps its
-band, so it never holds an (n_filters, n_fft) matrix.
+The build makes one response at a time, over the bins where its Gaussians
+do not underflow (_morlet_gains), and keeps its band. Besides the
+low-pass and the two n_fft-bin energy sums, it holds one (n_filters,
+_ENERGY_BLOCK) block at a time, never an (n_filters, n_fft) matrix.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class BandpassFilter:
     region, and its non-negative gain stored over its support alone: band
     holds, read-only, the gains of the bins from start on, circularly, over
     the shortest span of the n_fft DFT bins that holds every non-zero one
-    (see band_support)."""
+    (see _support)."""
 
     center_freq_normalized: float
     bandwidth: float
@@ -159,18 +161,6 @@ class FilterBank:
         return [i for i, f in enumerate(self.filters) if f.region == "geo"]
 
 
-def band_support(response: np.ndarray) -> tuple[int, int]:
-    """(start, width) of a non-zero response: its non-zero bins lie within
-    the width bins from start on, circularly, and width is the smallest
-    such span. Gains are cut where exp() underflows, so the support is
-    exact."""
-    n_fft = response.shape[0]
-    nz = np.flatnonzero(response)
-    gaps = np.diff(nz, append=nz[0] + n_fft)
-    k = int(np.argmax(gaps))  # the longest zero run ends the support
-    return int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)
-
-
 def circular_window(v: np.ndarray, start: int, m: int) -> np.ndarray:
     """v[start:start + m], wrapping past the end of v."""
     over = start + m - v.shape[0]
@@ -180,14 +170,38 @@ def circular_window(v: np.ndarray, start: int, m: int) -> np.ndarray:
 def _place(out: np.ndarray, band: np.ndarray, start: int, n_fft: int,
            lo: int = 0) -> None:
     """Copy band, the gains of the len(band) bins from bin start on of an
-    n_fft-bin axis (wrapping past its last bin), into out, which holds bins
-    lo to lo + len(out) - 1 of that axis: only the bins both hold."""
-    m, hi = band.shape[0], lo + out.shape[0]
-    for first, last in ((start, min(start + m, n_fft)), (0, start + m - n_fft)):
-        a, b = max(first, lo), min(last, hi)
-        if a < b:
-            j = (a - start) % n_fft  # the band index of bin a
-            out[a - lo:b - lo] = band[j:j + b - a]
+    n_fft-bin axis, into out, which holds the len(out) bins from bin lo on:
+    only the bins both hold. Both spans wrap past the axis's last bin."""
+    m, n = band.shape[0], out.shape[0]
+    d = (lo - start) % n_fft  # the band index of bin lo, if below m
+    if d < m:
+        out[:min(m - d, n)] = band[d:d + n]
+    s = n_fft - d  # the out index of bin start, if below n
+    if s < n:
+        out[s:s + m] = band[:n - s]
+
+
+def _support(first: int, gains: np.ndarray, n_fft: int) -> tuple[int, np.ndarray]:
+    """(start, band) of gains, which hold the len(gains) bins from bin first
+    on of an n_fft-bin axis (wrapping past its last bin) and which are 0 on
+    every other bin: band is a read-only copy of the gains over the shortest
+    span, from bin start on, that holds every non-zero one. Gains are cut
+    where exp() underflows, so the support is exact.
+
+    The span is found as a scan of the dense n_fft-bin gains would find it:
+    the non-zero bins in ascending order, and the longest circular zero run
+    between them (the first of equal ones) ends the support. Only the
+    non-zero bins of gains are visited."""
+    nz = np.flatnonzero(gains) + first
+    k = int(np.searchsorted(nz, n_fft))
+    nz = np.concatenate((nz[k:] - n_fft, nz[:k]))
+    gaps = np.diff(nz, append=nz[0] + n_fft)
+    k = int(np.argmax(gaps))
+    start = int(nz[(k + 1) % nz.size])
+    band = np.zeros(n_fft - gaps[k] + 1)
+    _place(band, gains, first, n_fft, start)
+    band.flags.writeable = False
+    return start, band
 
 
 def real_fft(x: np.ndarray, norm: str = "backward") -> np.ndarray:
@@ -230,48 +244,82 @@ def lowpass_taps(lowpass: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]
     return taps, offsets
 
 
-def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> np.ndarray:
-    """exp(-(w-center)^2 / 2 sigma^2) summed over enough unit periods that
-    the wrap-around error stays below _PERIODIZATION_EPS.
+def _periodized_gaussian(n_fft: int, center: float, sigma: float) -> tuple[int, np.ndarray]:
+    """(lo, values): exp(-(w-center)^2 / 2 sigma^2) summed over enough unit
+    periods that the wrap-around error stays below _PERIODIZATION_EPS, on
+    bins lo to lo + len(values) - 1 of the ascending DFT grid; it is 0 on
+    every other bin. Ascending bin m is frequency (m - n_fft//2) / n_fft,
+    DFT bin (m + n_fft//2) mod n_fft.
 
     Each period's Gaussian is evaluated only on the bins within
     _UNDERFLOW_SIGMAS * sigma of its centre (plus one bin of rounding
-    slack). Beyond that radius exp() underflows to exactly 0.0 in float64,
-    so the skipped terms add nothing and the result is bit-identical to
-    summing every period over the full DFT grid.
+    slack), and values spans the union of those windows. Beyond that radius
+    exp() underflows to exactly 0.0 in float64, so a skipped bin or term is
+    one that a sum of every period over the full DFT grid leaves at, or adds
+    as, exact 0.0; the periods are added in the same order, so the result
+    is bit for bit that sum's.
     """
     n_periods = int(np.ceil(np.sqrt(-2.0 * sigma**2 * np.log(_PERIODIZATION_EPS)))) + 1
     half = n_fft // 2
     radius = _UNDERFLOW_SIGMAS * sigma
-    out = np.zeros(n_fft)
+    windows = []
     for p in range(-n_periods, n_periods + 1):
         lo = max(int(np.floor((center - p - radius) * n_fft)) + half, 0)
         hi = min(int(np.ceil((center - p + radius) * n_fft)) + half + 1, n_fft)
         if lo < hi:
-            # bins lo..hi-1 of the ascending DFT grid, exactly as
-            # fftshift(fftfreq(n_fft)) holds them: (m - n_fft//2) * (1/n_fft)
-            freqs = (np.arange(lo, hi) - half) * (1.0 / n_fft)
-            out[lo:hi] += np.exp(-((freqs - center + p) ** 2) / (2.0 * sigma**2))
-    return np.fft.ifftshift(out)
+            windows.append((p, lo, hi))
+    first = min(lo for _, lo, _ in windows)
+    out = np.zeros(max(hi for _, _, hi in windows) - first) if len(windows) > 1 else None
+    for p, lo, hi in windows:
+        # bins lo..hi-1 of the ascending DFT grid, exactly as
+        # fftshift(fftfreq(n_fft)) holds them: (m - n_fft//2) * (1/n_fft);
+        # then exp(-((freqs - center + p) ** 2) / (2.0 * sigma**2)) in place
+        g = np.arange(lo - half, hi - half, dtype=float)
+        g *= 1.0 / n_fft
+        g -= center
+        g += p
+        np.negative(np.square(g, out=g), out=g)
+        g /= 2.0 * sigma**2
+        np.exp(g, out=g)
+        if out is None:  # one period: 0.0 + g is g
+            return lo, g
+        out[lo - first:hi - first] += g
+    return first, out
 
 
-def morlet_response(n_fft: int, center: float, sigma: float) -> np.ndarray:
-    """Frequency response of an analytic Morlet wavelet.
+def _morlet_gains(n_fft: int, center: float, sigma: float) -> tuple[int, np.ndarray]:
+    """(first, gains): the frequency response of an analytic Morlet wavelet
+    on the len(gains) DFT bins from bin first on (wrapping past the last
+    bin); it is 0 on every other bin.
 
     A Gaussian bump at +center minus a DC-centered Gaussian scaled so the
     response at bin 0 is exactly zero (zero-mean wavelet); the residual
     negative lobe on the negative-frequency side is clipped to keep the
-    response non-negative and one-sided.
+    response non-negative and one-sided. The gains span the union of the two
+    Gaussians' windows (_periodized_gaussian); off it both are exact 0.0, so
+    is max(bump - kappa * base, 0), and on it each bin takes the same
+    operations as over the full grid.
     """
-    bump = _periodized_gaussian(n_fft, center, sigma)
-    base = _periodized_gaussian(n_fft, 0.0, sigma)
-    kappa = bump[0] / base[0]
-    return np.maximum(bump - kappa * base, 0.0)
+    half = n_fft // 2
+    b_lo, bump = _periodized_gaussian(n_fft, center, sigma)
+    d_lo, base = _periodized_gaussian(n_fft, 0.0, sigma)
+    lo = min(b_lo, d_lo)
+    out = np.zeros(max(b_lo + bump.shape[0], d_lo + base.shape[0]) - lo)
+    out[b_lo - lo:b_lo - lo + bump.shape[0]] = bump
+    dc = half - b_lo  # DC is ascending bin half
+    kappa = (bump[dc] if 0 <= dc < bump.shape[0] else 0.0) / base[half - d_lo]
+    # off base's window, bump - kappa * 0.0 is bump
+    base *= kappa
+    out[d_lo - lo:d_lo - lo + base.shape[0]] -= base
+    np.maximum(out, 0.0, out=out)
+    return (lo + half) % n_fft, out
 
 
 def gaussian_lowpass(n_fft: int, sigma: float) -> np.ndarray:
     """Gaussian low-pass with unit gain at DC."""
-    out = _periodized_gaussian(n_fft, 0.0, sigma)
+    lo, values = _periodized_gaussian(n_fft, 0.0, sigma)
+    out = np.zeros(n_fft)
+    _place(out, values, (lo + n_fft // 2) % n_fft, n_fft)
     return out / out[0]
 
 
@@ -290,6 +338,12 @@ def max_center_freq(q: int) -> float:
 
 def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
     """Construct the Morlet bank described in the module docstring.
+
+    Every gain, support and sum is computed over the bins where a filter
+    can be non-zero (_morlet_gains, _support, _wavelet_energy). The bins
+    skipped are the ones a build over all n_fft bins holds at exact 0.0,
+    and every sum keeps that build's order, so the bank is bit for bit the
+    one it gives.
 
     Raises InvalidSpecError when the spec is invalid (FilterBankSpec.validate).
     """
@@ -317,8 +371,8 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
         lam -= 1.0 / t
 
     sigma_lin = _SIGMA_LIN_FACTOR / t
-    bands = [_band(morlet_response(n_fft, center,
-                                   c_q * center if region == "geo" else sigma_lin))
+    bands = [_support(*_morlet_gains(n_fft, center,
+                                     c_q * center if region == "geo" else sigma_lin), n_fft)
              for center, region in zip(centers, regions)]
 
     lowpass = gaussian_lowpass(n_fft, _SIGMA_PHI_FACTOR / t)
@@ -330,25 +384,13 @@ def build_morlet_bank(spec: FilterBankSpec) -> FilterBank:
     mask = psi_sum > 1e-12
     scale = float(np.sqrt(np.min((1.0 - head[mask]) / psi_sum[mask])))
     # the scaled gains may underflow where the unscaled ones did not, so each
-    # support is found again on the scaled response
-    filters = []
-    for center, region, (start, band) in zip(centers, regions, bands):
-        response = np.zeros(n_fft)
-        _place(response, band * scale, start, n_fft)
-        filters.append(BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
-                                      region, *_band(response), n_fft))
+    # support is found again on the scaled band
+    filters = [BandpassFilter(center, center / q if region == "geo" else 1.0 / t,
+                              region, *_support(start, band * scale, n_fft), n_fft)
+               for center, region, (start, band) in zip(centers, regions, bands)]
     # banks are cached and shared, and the taps are built from phi
     lowpass.flags.writeable = False
     return FilterBank(tuple(filters), lowpass, spec)
-
-
-def _band(response: np.ndarray) -> tuple[int, np.ndarray]:
-    """(start, band) of a response: the start of its support (band_support)
-    and a read-only copy of the gains over it."""
-    start, width = band_support(response)
-    band = circular_window(response, start, width).copy()
-    band.flags.writeable = False
-    return start, band
 
 
 @lru_cache(maxsize=32)
@@ -362,21 +404,26 @@ def _wavelet_energy(bands, n_fft: int) -> np.ndarray:
     whose gains bands gives as (start, band) pairs (see _place).
 
     Both sums are bit for bit numpy's sums over the dense (n_filters, n_fft)
-    squares sq: rows adds the rows in order, as sq.sum(axis=0) does, and the
-    mirrored sum takes each column's pairwise sum, as numpy reduces the
-    column-major gather sq[:, mirror]. Each column of a block is laid out
-    contiguously so that its sum over axis 0 is that pairwise sum; blocks of
-    _ENERGY_BLOCK columns keep the scratch small.
+    squares sq. rows adds each filter's squares over its band, in filter
+    order: that is sq.sum(axis=0), which adds the rows in order, without the
+    exact 0.0 it would add off each band. The mirrored sum takes each
+    column's pairwise sum, as numpy reduces the column-major gather
+    sq[:, mirror], so it keeps numpy's own reduction: each column of a block
+    is laid out contiguously so that its sum over axis 0 is that pairwise
+    sum; blocks of _ENERGY_BLOCK columns keep the scratch small.
     """
     squares = [(start, band**2) for start, band in bands]
-    rows, cols = np.empty(n_fft), np.empty(n_fft)
+    rows, cols = np.zeros(n_fft), np.empty(n_fft)
+    for start, sq in squares:
+        m = min(sq.shape[0], n_fft - start)
+        rows[start:start + m] += sq[:m]
+        rows[:sq.shape[0] - m] += sq[m:]
     for lo in range(0, n_fft, _ENERGY_BLOCK):
         hi = min(lo + _ENERGY_BLOCK, n_fft)
         block = np.zeros((hi - lo, len(squares))).T  # column-major
         for (start, sq), row in zip(squares, block):
             _place(row, sq, start, n_fft, lo)
         cols[lo:hi] = block.sum(axis=0)
-        rows[lo:hi] = np.ascontiguousarray(block).sum(axis=0)
     return 0.5 * (rows + cols[(-np.arange(n_fft)) % n_fft])
 
 

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import scatfeat.classify
+import scatfeat.cli
 import scatfeat.features
 from scatfeat.cli import build_parser, main
 from scatfeat.config import load_config
@@ -171,16 +173,16 @@ class TestEmptyFeatureFile:
         assert not (tmp_path / "model.json").exists()
 
 
-def counting(monkeypatch, name):
-    """Replace scatfeat.features.<name> by a wrapper that records its calls."""
+def counting(monkeypatch, name, module=scatfeat.features):
+    """Replace module.<name> by a wrapper that records its calls."""
     calls = []
-    original = getattr(scatfeat.features, name)
+    original = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args[0])
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(scatfeat.features, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -434,7 +436,39 @@ class TestInspectFilters:
         assert all(line.split(",")[3] in ("geo", "lin") for line in lines[1:])
 
 
+class TestMissingOutDirectory:
+    """train and inspect-filters, like extract, check --out's directory
+    before they read or compute anything."""
+
+    def test_train_exits_2_before_training(self, feature_file, tmp_path, capsys,
+                                           monkeypatch):
+        calls = counting(monkeypatch, "smo_solve", scatfeat.classify)
+        out = tmp_path / "missing_dir" / "m.json"
+        assert main(["train", "--features", str(feature_file), "--c", "1",
+                     "--gamma", "0.1", "--out", str(out)]) == 2
+        assert error_lines(capsys) == [f"error: {out}: its directory does not exist"]
+        assert calls == [] and not out.parent.exists()
+
+    def test_inspect_filters_exits_2_before_building(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = counting(monkeypatch, "build_morlet_bank", scatfeat.cli)
+        out = tmp_path / "missing_dir" / "f.csv"
+        assert main(["inspect-filters", "--q", "1", "--t", "64", "--n", "256",
+                     "--out", str(out)]) == 2
+        assert error_lines(capsys) == [f"error: {out}: its directory does not exist"]
+        assert calls == [] and not out.parent.exists()
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_inspect_filters_n_below_one(self, tmp_path, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect-filters", "--q", "1", "--t", "64", "--n", n,
+                  "--out", str(tmp_path / "f.csv")])
+        assert exc.value.code == 1
+        assert f"argument --n: must be at least 1, got {int(n)}" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

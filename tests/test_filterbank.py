@@ -8,12 +8,13 @@ from scipy import fft as sfft
 from scatfeat import filterbank
 from scatfeat.config import RunConfig
 from scatfeat.errors import InvalidSpecError
-from scatfeat.filterbank import (FilterBank, FilterBankSpec, _PERIODIZATION_EPS,
+from scatfeat.filterbank import (FilterBank, FilterBankSpec, _morlet_gains,
                                  _periodized_gaussian, bank_to_csv_rows,
                                  build_morlet_bank, gaussian_lowpass,
                                  littlewood_paley_bounds, littlewood_paley_sum,
                                  lowpass_taps, max_center_freq, real_fft)
 from scatfeat.scattering import frequency_bank
+from testkit import dense_morlet, dense_morlet_bank, full_grid_gaussian
 
 
 def geo_centers(bank):
@@ -98,34 +99,55 @@ class TestConstruction:
             assert f.bandwidth == pytest.approx(expected, rel=0, abs=0)
 
 
-def full_grid_gaussian(n_fft, center, sigma):
-    """Reference: every period's Gaussian evaluated on every DFT bin."""
-    n_periods = int(np.ceil(np.sqrt(-2.0 * sigma**2 * np.log(_PERIODIZATION_EPS)))) + 1
-    freqs = np.fft.fftfreq(n_fft)
-    out = np.zeros(n_fft)
-    for p in range(-n_periods, n_periods + 1):
-        out += np.exp(-((freqs - center + p) ** 2) / (2.0 * sigma**2))
-    return out
+def bank_bytes(bank):
+    """Every value a bank holds, as bytes: each filter's start, band,
+    centre, bandwidth and region, then the low-pass, taps and tap offsets."""
+    parts = [np.array([f.start, f.center_freq_normalized, f.bandwidth]).tobytes()
+             + f.band.tobytes() + f.region.encode() for f in bank.filters]
+    return parts + [bank.lowpass.tobytes(), bank.taps.tobytes(),
+                    bank.tap_offsets.tobytes()]
+
+
+# n_fft small enough that the Gaussians wrap round the grid
+WRAPPING_SPECS = [(1, 4, 8), (2, 16, 32), (1, 8, 32), (3, 32, 64), (1, 16, 64)]
 
 
 class TestPeriodizedGaussian:
+    """The windowed build is bit for bit the build over all n_fft bins that
+    testkit keeps: full-grid Gaussians, dense Morlet responses, a scan of
+    every bin for each support, the dense rescale and dense energy sums."""
+
     @pytest.mark.parametrize("q", [1, 3, 5, 8])
     @pytest.mark.parametrize("t", [4096, 16384, 32768])
-    def test_matches_full_grid_on_a1_banks(self, q, t, monkeypatch):
+    def test_matches_full_grid_on_a1_banks(self, q, t):
         spec = FilterBankSpec(q, t, 65536)
-        bank = build_morlet_bank(spec)
-        monkeypatch.setattr(filterbank, "_periodized_gaussian", full_grid_gaussian)
-        ref = build_morlet_bank(spec)
-        assert np.abs(bank.responses - ref.responses).max() <= 1e-12
-        assert np.abs(bank.lowpass - ref.lowpass).max() <= 1e-12
+        assert bank_bytes(build_morlet_bank(spec)) == bank_bytes(dense_morlet_bank(spec))
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda cfg: build_morlet_bank(FilterBankSpec(cfg.q2, cfg.t, cfg.n_fft)),
+        frequency_bank,
+    ] + [lambda cfg, spec=spec: build_morlet_bank(FilterBankSpec(*spec))
+         for spec in WRAPPING_SPECS],
+        ids=["bank2", "frequency"] + ["-".join(map(str, s)) for s in WRAPPING_SPECS])
+    def test_matches_full_grid_bank(self, make_bank):
+        """The default pair's q2 bank (its q1 bank is in the A1 grid), the
+        frequency bank and banks whose Gaussians wrap."""
+        bank = make_bank(RunConfig())
+        assert bank_bytes(bank) == bank_bytes(dense_morlet_bank(bank.spec))
 
     @pytest.mark.parametrize("n_fft", [8, 32, 64])
     @pytest.mark.parametrize("sigma", [1e-3, 0.02, 0.1, 0.4, 1.5])
     @pytest.mark.parametrize("center", [0.0, 0.1, 0.37, 0.49])
     def test_matches_full_grid_when_wrapping(self, n_fft, sigma, center):
-        diff = np.abs(_periodized_gaussian(n_fft, center, sigma) -
-                      full_grid_gaussian(n_fft, center, sigma))
-        assert diff.max() <= 1e-12
+        """The Gaussian and the Morlet gains, placed on the grid."""
+        lo, values = _periodized_gaussian(n_fft, center, sigma)
+        dense = np.zeros(n_fft)
+        dense[(np.arange(lo, lo + values.shape[0]) + n_fft // 2) % n_fft] = values
+        assert dense.tobytes() == full_grid_gaussian(n_fft, center, sigma).tobytes()
+        first, gains = _morlet_gains(n_fft, center, sigma)
+        dense = np.zeros(n_fft)
+        dense[(first + np.arange(gains.shape[0])) % n_fft] = gains
+        assert dense.tobytes() == dense_morlet(n_fft, center, sigma).tobytes()
 
 
 INVALID_SPECS = [

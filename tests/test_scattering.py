@@ -17,7 +17,7 @@ from scatfeat.scattering import (frequency_scattering, lowpass_average,
                                  next_pow2, scattering_paths, time_scattering,
                                  wavelet_modulus)
 
-from testkit import FS, bandlimited_noise, run_python
+from testkit import FS, band_support, bandlimited_noise, run_python
 
 # Small, fast configuration shared across this module; n == n_fft so circular
 # shifts of the input are true circular shifts of the transform input.
@@ -431,10 +431,10 @@ class TestFullLengthOracle:
         finds."""
         time_scattering(Waveform(rng.standard_normal(CFG.n), FS), CFG)  # banks
         for f in BANK1.filters + BANK2.filters:
-            assert (f.start, f.width) == filterbank.band_support(f.response)
+            assert (f.start, f.width) == band_support(f.response)
         supports, taps = [], []
-        monkeypatch.setattr(filterbank, "band_support",
-                            lambda r: supports.append(r) or (0, 1))
+        monkeypatch.setattr(filterbank, "_support",
+                            lambda first, gains, n_fft: supports.append(first) or (0, gains))
         monkeypatch.setattr(filterbank, "lowpass_taps",
                             lambda lowpass, hop: taps.append(hop) or ((), ()))
         scattering._twiddles.cache_clear()

@@ -1,6 +1,7 @@
 """Shared test helpers: small deterministic signals, WAV writers, a naive
-MFCC reference and an SVM dual's KKT residual. Imported by name, so the module name is unique across
-every test directory; fixtures stay in conftest.py."""
+MFCC reference, an SVM dual's KKT residual and a dense Morlet bank build.
+Imported by name, so the module name is unique across every test directory;
+fixtures stay in conftest.py."""
 
 import os
 import struct
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import scatfeat
+from scatfeat import filterbank
 
 FS = 16000
 
@@ -119,3 +121,94 @@ def run_python(code, **env):
                           env={**os.environ, "PYTHONPATH": path, **env})
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def full_grid_gaussian(n_fft, center, sigma):
+    """Every period's Gaussian evaluated on every DFT bin, in DFT order."""
+    n_periods = int(np.ceil(np.sqrt(
+        -2.0 * sigma**2 * np.log(filterbank._PERIODIZATION_EPS)))) + 1
+    freqs = np.fft.fftfreq(n_fft)
+    out = np.zeros(n_fft)
+    for p in range(-n_periods, n_periods + 1):
+        out += np.exp(-((freqs - center + p) ** 2) / (2.0 * sigma**2))
+    return out
+
+
+def dense_morlet(n_fft, center, sigma):
+    """A Morlet response over all n_fft bins, from full-grid Gaussians."""
+    bump = full_grid_gaussian(n_fft, center, sigma)
+    base = full_grid_gaussian(n_fft, 0.0, sigma)
+    kappa = bump[0] / base[0]
+    return np.maximum(bump - kappa * base, 0.0)
+
+
+def band_support(response):
+    """(start, width) of a non-zero dense response, by a scan of all its
+    bins: the longest circular zero run (the first of equal ones) ends the
+    smallest span that holds every non-zero bin."""
+    n_fft = response.shape[0]
+    nz = np.flatnonzero(response)
+    gaps = np.diff(nz, append=nz[0] + n_fft)
+    k = int(np.argmax(gaps))
+    return int(nz[(k + 1) % nz.size]), int(n_fft - gaps[k] + 1)
+
+
+def _dense_band(response):
+    start, width = band_support(response)
+    return start, filterbank.circular_window(response, start, width).copy()
+
+
+def _dense_energy(bands, n_fft, block=4096):
+    """1/2 sum (|psi(w)|^2 + |psi(-w)|^2) over dense blocks of the
+    (n_filters, n_fft) squares: rows summed in order, as a C-order sum over
+    axis 0 adds them, and columns by numpy's pairwise sum of each
+    contiguous column."""
+    rows, cols = np.empty(n_fft), np.empty(n_fft)
+    for lo in range(0, n_fft, block):
+        hi = min(lo + block, n_fft)
+        sq = np.zeros((hi - lo, len(bands))).T  # column-major
+        for (start, band), row in zip(bands, sq):
+            j = (np.arange(lo, hi) - start) % n_fft  # the band index of each bin
+            inside = j < band.shape[0]
+            row[inside] = band[j[inside]] ** 2
+        cols[lo:hi] = sq.sum(axis=0)
+        rows[lo:hi] = np.ascontiguousarray(sq).sum(axis=0)
+    return 0.5 * (rows + cols[(-np.arange(n_fft)) % n_fft])
+
+
+def dense_morlet_bank(spec):
+    """The Morlet bank of spec built over all n_fft bins: full-grid
+    Gaussians, dense responses, a scan of every bin for each support, and
+    the rescale applied to dense responses. The oracle that
+    filterbank.build_morlet_bank must match bit for bit."""
+    q, t, n_fft = spec.q, spec.t, spec.n_fft
+    c_q = filterbank.sigma_for_q(q)
+    ratio = 2.0 ** (-1.0 / q)
+    centers, regions = [], []
+    lam = filterbank.max_center_freq(q)
+    while lam >= q / t - 1e-12:
+        centers.append(lam)
+        regions.append("geo")
+        lam *= ratio
+    lam = centers[-1] - 1.0 / t
+    while lam > filterbank._MIN_CENTER_FACTOR / t:
+        centers.append(lam)
+        regions.append("lin")
+        lam -= 1.0 / t
+    sigma_lin = filterbank._SIGMA_LIN_FACTOR / t
+    bands = [_dense_band(dense_morlet(n_fft, center,
+                                      c_q * center if region == "geo" else sigma_lin))
+             for center, region in zip(centers, regions)]
+    lowpass = full_grid_gaussian(n_fft, 0.0, filterbank._SIGMA_PHI_FACTOR / t)
+    lowpass = lowpass / lowpass[0]
+    psi_sum = _dense_energy(bands, n_fft)
+    mask = psi_sum > 1e-12
+    scale = float(np.sqrt(np.min((1.0 - lowpass[mask]**2) / psi_sum[mask])))
+    filters = []
+    for center, region, (start, band) in zip(centers, regions, bands):
+        response = np.zeros(n_fft)
+        response[(start + np.arange(band.shape[0])) % n_fft] = band * scale
+        filters.append(filterbank.BandpassFilter(
+            center, center / q if region == "geo" else 1.0 / t, region,
+            *_dense_band(response), n_fft))
+    return filterbank.FilterBank(tuple(filters), lowpass, spec)
