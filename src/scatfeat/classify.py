@@ -353,14 +353,13 @@ def svm_predict(model: SvmModel, x: np.ndarray):
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    best_c: float
-    best_gamma: float
     valid_uar: float
-    model: SvmModel  # trained on all of train at (best_c, best_gamma)
+    model: SvmModel  # the winning cell's, trained on all of train at its c, gamma
 
 
 def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
-    """Pick (c, gamma) maximizing validation UAR and return its model.
+    """Pick (c, gamma) maximizing validation UAR and return its model,
+    which carries them as model.c and model.gamma.
 
     train and valid are (X, y) with X already standardized by training-set
     statistics. Every cell trains on all of train, so the winning cell's
@@ -409,7 +408,7 @@ def grid_search(train, valid, c_values, gamma_values) -> GridSearchResult:
             pred = own[_vote(k_valid @ model.coef + model.bias, n_own)]
             score = uar(code_confusion(valid_codes, pred, classes))
             if best is None or score > best.valid_uar:
-                best = GridSearchResult(c, gamma, score, model)
+                best = GridSearchResult(score, model)
     return best
 
 

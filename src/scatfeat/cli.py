@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 success with SMO
-convergence warnings recorded in the report.
+convergence warnings (recorded in the report, and printed to stderr).
+
+evaluate reads at most one config file. Given --config, the config must
+give the feature file's config hash, so it states the settings the
+features were extracted with, and its svm_c and svm_gamma_scale are the
+SVM grid. Without --config the grid is RunConfig's default and the
+features' provenance is not checked.
 """
 
 from __future__ import annotations
@@ -79,10 +85,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="LOSO evaluation of a feature file")
     p.add_argument("--features", required=True)
-    p.add_argument("--grid", default=None,
-                   help="config file supplying svm_c / svm_gamma_scale")
     p.add_argument("--config", default=None,
-                   help="optional config to verify feature provenance against")
+                   help="config the features were extracted with: checked "
+                        "against the file's config hash, and its svm_c and "
+                        "svm_gamma_scale are the SVM grid (default: no check, "
+                        "the default grid)")
     p.add_argument("--report-dir", required=True)
 
     p = sub.add_parser("sweep", help="Q x T parameter sweep on scatnet features")
@@ -107,6 +114,21 @@ def _check_out_dir(out: str) -> None:
     """Fail on an output path whose directory is missing before any work."""
     if not Path(out).parent.is_dir():
         raise ScatFeatError(f"{out}: its directory does not exist")
+
+
+def _check_report_dir(report_dir: str) -> None:
+    """Fail before any work, making nothing, on a report directory that
+    cannot be made: its nearest existing ancestor must be a directory."""
+    path = Path(report_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ScatFeatError(f"{report_dir}: {existing} is not a directory")
+
+
+def _warn(convergence_warnings) -> int:
+    for w in convergence_warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return CONVERGENCE_WARNING if convergence_warnings else 0
 
 
 def _cmd_extract(args) -> int:
@@ -138,7 +160,7 @@ def _cmd_train(args) -> int:
     Path(args.out).write_text(model_to_json(model) + "\n")
     print(f"wrote {args.out} (trained on {len(rows)} rows of {kind}, "
           f"config_hash={config_hash})")
-    return CONVERGENCE_WARNING if model.convergence_warnings else 0
+    return _warn(model.convergence_warnings)
 
 
 def _write_report(report, report_dir: Path) -> None:
@@ -159,42 +181,39 @@ def _write_report(report, report_dir: Path) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_report_dir(args.report_dir)
     kind, file_hash, rows = read_feature_file(args.features)
+    cfg = _load_run_config(args.config)
     if args.config:
-        cfg = load_config(args.config)
         expected = feature_config_hash(cfg, kind)
         if expected != file_hash:
             raise ScatFeatError(
                 f"config hash mismatch: file has {file_hash}, config gives "
                 f"{expected}")
-    grid_cfg = _load_run_config(args.grid)
     dim = rows[0].vector.shape[0]
-    report = run_loso(rows, tuple(grid_cfg.svm_c),
-                      tuple(s / dim for s in grid_cfg.svm_gamma_scale),
+    report = run_loso(rows, tuple(cfg.svm_c),
+                      tuple(s / dim for s in cfg.svm_gamma_scale),
                       feature_kind=kind, config_hash=file_hash)
     _write_report(report, Path(args.report_dir))
     print(f"mean accuracy {report.mean_accuracy:.4f}, "
           f"mean UAR {report.mean_uar:.4f} over {len(report.folds)} folds")
-    if report.convergence_warnings:
-        for w in report.convergence_warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        return CONVERGENCE_WARNING
-    return 0
+    return _warn(report.convergence_warnings)
 
 
 def _cmd_sweep(args) -> int:
+    _check_report_dir(args.report_dir)
     cfg = _load_run_config(args.config)
     manifest = load_manifest(args.manifest)
-    rows = param_sweep(manifest, args.q, args.t, cfg,
-                       n_workers=args.threads)
+    cells = param_sweep(manifest, args.q, args.t, cfg,
+                        n_workers=args.threads)
     report_dir = Path(args.report_dir)  # made only once there are results
     report_dir.mkdir(parents=True, exist_ok=True)
     lines = ["q,t,mean_accuracy,mean_uar"]
-    for r in rows:
-        lines.append(f"{r.q},{r.t},{r.mean_accuracy:.17g},{r.mean_uar:.17g}")
+    for q, t, report in cells:
+        lines.append(f"{q},{t},{report.mean_accuracy:.17g},{report.mean_uar:.17g}")
     (report_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     (report_dir / "sweep_config.txt").write_text(config_to_text(cfg))
-    print(f"wrote {report_dir / 'sweep.csv'} ({len(rows)} cells)")
+    print(f"wrote {report_dir / 'sweep.csv'} ({len(cells)} cells)")
     return 0
 
 

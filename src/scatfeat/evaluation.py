@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -230,7 +230,7 @@ def run_loso(rows: list[FeatureRow], c_values=RunConfig.svm_c,
         cm = code_confusion(y_all[in_test], svm_predict(best.model, x_test), classes)
         folds.append(FoldReport(
             test_speaker=test_speaker, valid_speaker=valid_speaker,
-            best_c=best.best_c, best_gamma=best.best_gamma,
+            best_c=model.c, best_gamma=model.gamma,
             accuracy=accuracy(cm), uar=uar(cm), confusion=cm,
             missing_classes=missing_classes(cm),
             convergence_warnings=tuple(model.convergence_warnings)))
@@ -265,18 +265,11 @@ def run_experiment(manifest: list[ManifestRow], feature_kind: str, run_cfg,
                     config_hash=feature_config_hash(run_cfg, feature_kind))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    q: int
-    t: int
-    mean_accuracy: float
-    mean_uar: float
-
-
-def param_sweep(manifest: list[ManifestRow], q_values, t_values,
-                run_cfg, n_workers: int | None = None) -> list[SweepRow]:
-    """run_experiment on scatnet features for every (q, t) cell. Every
-    cell's bank spec is checked before any cell extracts."""
+def param_sweep(manifest: list[ManifestRow], q_values, t_values, run_cfg,
+                n_workers: int | None = None) -> list[tuple[int, int, ExperimentReport]]:
+    """run_experiment on scatnet features for every (q, t) cell, q-major.
+    Returns one (q, t, report) per cell. Every cell's bank spec is checked
+    before any cell extracts."""
     for q in q_values:
         for t in t_values:
             FilterBankSpec(int(q), int(t), run_cfg.n_fft).validate()
@@ -284,9 +277,8 @@ def param_sweep(manifest: list[ManifestRow], q_values, t_values,
     for q in q_values:
         for t in t_values:
             cfg = replace(run_cfg, q1=int(q), t=int(t))
-            report = run_experiment(manifest, "scatnet", cfg, n_workers=n_workers)
-            out.append(SweepRow(int(q), int(t), report.mean_accuracy,
-                                report.mean_uar))
+            out.append((int(q), int(t),
+                        run_experiment(manifest, "scatnet", cfg, n_workers=n_workers)))
     return out
 
 
@@ -301,28 +293,23 @@ def confusion_to_text(cm: ConfusionMatrix) -> str:
     return "\n".join(lines)
 
 
+def _json_value(value):
+    if isinstance(value, ConfusionMatrix):
+        return value.counts.tolist()
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def report_to_json_dict(report: ExperimentReport) -> dict:
-    return {
-        "feature_kind": report.feature_kind,
-        "config_hash": report.config_hash,
-        "classes": list(report.classes),
-        "folds": [{
-            "test_speaker": f.test_speaker,
-            "valid_speaker": f.valid_speaker,
-            "best_c": f.best_c,
-            "best_gamma": f.best_gamma,
-            "accuracy": f.accuracy,
-            "uar": f.uar,
-            "confusion": f.confusion.counts.tolist(),
-            "missing_classes": list(f.missing_classes),
-            "convergence_warnings": list(f.convergence_warnings),
-        } for f in report.folds],
-        "mean_accuracy": report.mean_accuracy,
-        "mean_uar": report.mean_uar,
-        "pooled_confusion": report.pooled_confusion.counts.tolist(),
-        "pooled_accuracy": report.pooled_accuracy,
-        "pooled_uar": report.pooled_uar,
-    }
+    """report.json's document: each ExperimentReport field under its own
+    name, with each fold a dict of its FoldReport fields. A confusion matrix
+    becomes its counts as nested lists of ints, and a tuple a list. The
+    keys are the field names, so renaming a field renames its key in
+    report.json."""
+    return _json_value(report)
 
 
 def report_to_csv(report: ExperimentReport) -> str:

@@ -585,7 +585,7 @@ class TestGridSearch:
     def test_single_point(self, rng):
         x, y = blobs(rng, [("a", (2, 2)), ("b", (-2, -2))], 10, 0.2)
         result = grid_search((x, y), (x, y), [3.0], [0.5])
-        assert (result.best_c, result.best_gamma, result.valid_uar) == (3.0, 0.5, 1.0)
+        assert (result.model.c, result.model.gamma, result.valid_uar) == (3.0, 0.5, 1.0)
 
     def test_perfect_point_found(self, rng):
         x, y = blobs(rng, [("a", (2, 2)), ("b", (-2, -2))], 12, 0.2)
@@ -595,7 +595,7 @@ class TestGridSearch:
     def test_all_equal_returns_smallest(self, rng):
         x, y = blobs(rng, [("a", (3, 3)), ("b", (-3, -3))], 10, 0.1)
         result = grid_search((x, y), (x, y), [10.0, 0.1, 1.0], [2.0, 0.5])
-        assert (result.best_c, result.best_gamma) == (0.1, 0.5)
+        assert (result.model.c, result.model.gamma) == (0.1, 0.5)
 
     def test_training_distances_built_once(self, rng, monkeypatch):
         centers = [("a", (1.5, 0)), ("b", (-1.5, 0)), ("c", (0, 1.5))]
@@ -662,14 +662,14 @@ class TestGridSearch:
         result = grid_search((x, y), (xv, yv), c_values, gamma_values)
         n_pairs = len(classes) * (len(classes) - 1) // 2
         assert len(calls) < len(c_values) * len(gamma_values) * n_pairs  # some reuse
-        assert (result.best_c, result.best_gamma, result.valid_uar) == best[:3]
+        assert (result.model.c, result.model.gamma, result.valid_uar) == best[:3]
         assert model_to_json(result.model) == model_to_json(best[3])
 
     def test_returns_the_winning_model(self, rng):
         x, y = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 10, 0.6)
         xv, yv = blobs(rng, [("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1))], 5, 0.6)
         result = grid_search((x, y), (xv, yv), [0.1, 10.0], [0.05, 2.0])
-        retrained = svm_train(x, y, result.best_c, result.best_gamma)
+        retrained = svm_train(x, y, result.model.c, result.model.gamma)
         assert model_to_json(result.model) == model_to_json(retrained)
 
 

@@ -6,6 +6,7 @@ import pytest
 import scatfeat.classify
 import scatfeat.cli
 import scatfeat.features
+from scatfeat.classify import model_from_json
 from scatfeat.cli import build_parser, main
 from scatfeat.config import load_config
 from scatfeat.synthetic import write_am_dataset
@@ -113,7 +114,7 @@ class TestEvaluate:
     def test_evaluate_writes_reports(self, feature_file, cfg_file, tmp_path):
         report_dir = tmp_path / "rep"
         code = main(["evaluate", "--features", str(feature_file),
-                     "--grid", str(cfg_file), "--report-dir", str(report_dir)])
+                     "--config", str(cfg_file), "--report-dir", str(report_dir)])
         assert code in (0, 3)
         report = json.loads((report_dir / "report.json").read_text())
         assert len(report["folds"]) == 3
@@ -134,7 +135,7 @@ class TestEvaluate:
 
     def test_provenance_match_ok(self, feature_file, cfg_file, tmp_path):
         code = main(["evaluate", "--features", str(feature_file),
-                     "--config", str(cfg_file), "--grid", str(cfg_file),
+                     "--config", str(cfg_file),
                      "--report-dir", str(tmp_path / "rep3")])
         assert code in (0, 3)
 
@@ -155,6 +156,18 @@ class TestTrain:
         assert doc["classes"] == ["fast", "slow"]
         assert len(doc["bias"]) == 1
         assert all(len(row) == 1 for row in doc["coef"])
+
+    def test_capped_solver_exits_3_printing_why(self, feature_file, tmp_path,
+                                                capsys, monkeypatch):
+        solve = scatfeat.classify.smo_solve
+        monkeypatch.setattr(scatfeat.classify, "smo_solve",
+                            lambda kernel, y, c: solve(kernel, y, c, max_iter=1))
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(feature_file), "--c", "10",
+                     "--gamma", "0.05", "--out", str(model_path)]) == 3
+        warnings = model_from_json(model_path.read_text()).convergence_warnings
+        assert warnings
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warnings]
 
 
 class TestEmptyFeatureFile:
@@ -198,7 +211,7 @@ class TestBadSvmGrid:
         grid = tmp_path / "grid.cfg"
         grid.write_text(line + "\n")
         report_dir = tmp_path / "rep"
-        assert main(["evaluate", "--features", str(feature_file), "--grid", str(grid),
+        assert main(["evaluate", "--features", str(feature_file), "--config", str(grid),
                      "--report-dir", str(report_dir)]) == 2
         assert f"error: {grid}: SVM " in capsys.readouterr().err
         assert not report_dir.exists()
@@ -457,6 +470,36 @@ class TestMissingOutDirectory:
                      "--out", str(out)]) == 2
         assert error_lines(capsys) == [f"error: {out}: its directory does not exist"]
         assert calls == [] and not out.parent.exists()
+
+
+class TestUnusableReportDir:
+    """evaluate and sweep check --report-dir before they read, extract or
+    train anything, and make no directory when it cannot be made."""
+
+    @pytest.mark.parametrize("name", ["taken", "taken/sub"])
+    def test_evaluate_exits_2_before_training(self, feature_file, tmp_path, capsys,
+                                              monkeypatch, name):
+        calls = counting(monkeypatch, "smo_solve", scatfeat.classify)
+        (tmp_path / "taken").write_text("")
+        report_dir = tmp_path / name
+        assert main(["evaluate", "--features", str(feature_file),
+                     "--report-dir", str(report_dir)]) == 2
+        assert error_lines(capsys) == [
+            f"error: {report_dir}: {tmp_path / 'taken'} is not a directory"]
+        assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "taken"]
+
+    @pytest.mark.parametrize("name", ["taken", "taken/sub"])
+    def test_sweep_exits_2_before_extracting(self, mini_corpus, cfg_file, tmp_path,
+                                             capsys, monkeypatch, name):
+        calls = counting(monkeypatch, "extract_vector")
+        (tmp_path / "taken").write_text("")
+        report_dir = tmp_path / name
+        assert main(["sweep", "--manifest", str(mini_corpus), "--q", "3",
+                     "--t", "512", "--config", str(cfg_file), "--threads", "1",
+                     "--report-dir", str(report_dir)]) == 2
+        assert error_lines(capsys) == [
+            f"error: {report_dir}: {tmp_path / 'taken'} is not a directory"]
+        assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "taken"]
 
 
 class TestUsageErrors:

@@ -326,6 +326,33 @@ class TestRunLoso:
         assert bool(report.convergence_warnings) == (max_iter is not None)
 
 
+class TestReportJson:
+    def test_keys_and_types_are_pinned(self):
+        """report.json's keys are the report fields' names, so this pins
+        them: a renamed field fails here before it changes the format."""
+        fold = FoldReport("s1", "s2", 10.0, 0.5, 0.5, 0.5,
+                          ConfusionMatrix(("a", "b"), np.array([[1, 1], [0, 0]])),
+                          ("b",), ("pair (a, b) hit the SMO iteration cap",))
+        report = ExperimentReport(
+            "scatnet", "abc", ("a", "b"), (fold,), 0.5, 0.5,
+            ConfusionMatrix(("a", "b"), np.array([[1, 1], [0, 0]])), 0.5, 0.5)
+        doc = report_to_json_dict(report)
+        assert set(doc) == {"feature_kind", "config_hash", "classes", "folds",
+                            "mean_accuracy", "mean_uar", "pooled_confusion",
+                            "pooled_accuracy", "pooled_uar"}
+        assert set(doc["folds"][0]) == {"test_speaker", "valid_speaker", "best_c",
+                                        "best_gamma", "accuracy", "uar", "confusion",
+                                        "missing_classes", "convergence_warnings"}
+        assert doc["classes"] == ["a", "b"] and type(doc["folds"]) is list
+        assert doc["folds"][0]["missing_classes"] == ["b"]
+        assert doc["folds"][0]["convergence_warnings"] == [
+            "pair (a, b) hit the SMO iteration cap"]
+        for counts in (doc["pooled_confusion"], doc["folds"][0]["confusion"]):
+            assert counts == [[1, 1], [0, 0]]
+            assert all(type(v) is int for row in counts for v in row)
+        assert json.loads(json.dumps(doc)) == doc
+
+
 class TestRendering:
     def test_confusion_text_alignment(self):
         cm = ConfusionMatrix(("angry", "sad"), np.array([[12, 3], [0, 7]]))
